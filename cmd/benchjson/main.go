@@ -1,7 +1,9 @@
 // Command benchjson converts `go test -bench` text output (stdin) into a
 // JSON perf record: one entry per benchmark with ns/op and any custom
 // metrics, plus derived speedup pairs for benchmarks that run a "serial"
-// sub-benchmark next to a "parallel"/"batch" one.
+// sub-benchmark next to a "parallel"/"batch" one. The context records the
+// host (goos, goarch, cpu, numcpu), the Go version, and the GOMAXPROCS
+// the benchmarks ran at (their -N name suffix; none means 1).
 //
 // By default the record goes to stdout. With -next DIR it lands in
 // DIR/BENCH_<n>.json where <n> is one past the highest existing index —
@@ -17,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -26,6 +29,7 @@ type benchmark struct {
 	Runs    int64              `json:"runs"`
 	NsPerOp float64            `json:"ns_per_op"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	procs   string             // GOMAXPROCS from the name's -N suffix
 }
 
 type speedup struct {
@@ -45,7 +49,10 @@ type report struct {
 func main() {
 	nextDir := flag.String("next", "", "write to DIR/BENCH_<n>.json, auto-incrementing n past the highest existing index (empty = stdout)")
 	flag.Parse()
-	rep := report{Context: map[string]string{}}
+	rep := report{Context: map[string]string{
+		"numcpu": strconv.Itoa(runtime.NumCPU()),
+		"go":     runtime.Version(),
+	}}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -66,6 +73,9 @@ func main() {
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
+	}
+	if len(rep.Benchmarks) > 0 {
+		rep.Context["gomaxprocs"] = rep.Benchmarks[0].procs
 	}
 	rep.Speedups = deriveSpeedups(rep.Benchmarks)
 	out := os.Stdout
@@ -129,7 +139,8 @@ func parseBenchLine(line string) (benchmark, bool) {
 	if err != nil {
 		return benchmark{}, false
 	}
-	b := benchmark{Name: trimProcSuffix(f[0]), Runs: runs}
+	name, procs := splitProcSuffix(f[0])
+	b := benchmark{Name: name, Runs: runs, procs: procs}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
@@ -147,14 +158,15 @@ func parseBenchLine(line string) (benchmark, bool) {
 	return b, b.NsPerOp > 0
 }
 
-// trimProcSuffix drops the trailing -N GOMAXPROCS marker.
-func trimProcSuffix(name string) string {
+// splitProcSuffix splits off the trailing -N GOMAXPROCS marker, which
+// go test omits at GOMAXPROCS=1.
+func splitProcSuffix(name string) (string, string) {
 	if i := strings.LastIndex(name, "-"); i > 0 {
 		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+			return name[:i], name[i+1:]
 		}
 	}
-	return name
+	return name, "1"
 }
 
 // deriveSpeedups pairs each <parent>/serial result with a sibling fast

@@ -397,9 +397,6 @@ func (c *Check) Solve(ctx context.Context) (*Field, error) {
 	length := make([]float64, nb)
 	area := make([]float64, nb)
 	for bi := range branches {
-		if bi&0x7fff == 0x7fff {
-			mathx.Yield()
-		}
 		b := &branches[bi]
 		from[bi] = b.From.J*c.Grid.Nx + b.From.I
 		to[bi] = b.To.J*c.Grid.Nx + b.To.I
@@ -433,9 +430,6 @@ func (c *Check) Solve(ctx context.Context) (*Field, error) {
 			power[i] = 0
 		}
 		for bi := 0; bi < nb; bi++ {
-			if bi&0x7fff == 0x7fff {
-				mathx.Yield()
-			}
 			rho := c.metal.Resistivity(temps[bi])
 			p := sol.Branches[bi].Current * sol.Branches[bi].Current * rho * length[bi] / area[bi]
 			power[from[bi]] += p / 2

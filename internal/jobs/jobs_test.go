@@ -484,6 +484,50 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestTerminalJobReleasesComputeState: once a job's final state is
+// journaled its task and chunk blobs are dropped — in the process that
+// ran it and in one that restores its terminal journal at boot — while
+// its result stays byte-identical.
+func TestTerminalJobReleasesComputeState(t *testing.T) {
+	dir := t.TempDir()
+	released := func(m *Manager, id string) {
+		t.Helper()
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if j := m.jobs[id]; j.task != nil || j.data != nil {
+			t.Fatalf("terminal job %s still holds task=%v data=%d blobs", id, j.task != nil, len(j.data))
+		}
+	}
+
+	m1 := newTestManager(t, Config{Dir: dir})
+	v, err := m1.Submit(mcReq(70)) // 3 chunks
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitDone(t, m1, v.ID); fin.Status != StatusDone || fin.Done != 3 {
+		t.Fatalf("run: %s, %d chunks (%q)", fin.Status, fin.Done, fin.Error)
+	}
+	want, err := m1.Result(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1.Stop() // the worker has returned from persistTerminal
+	released(m1, v.ID)
+
+	m2 := newTestManager(t, Config{Dir: dir})
+	if st := m2.Stats(); st.Done != 1 || st.CorruptBoot != 0 {
+		t.Fatalf("boot stats = %+v, want 1 done, 0 corrupt", st)
+	}
+	released(m2, v.ID)
+	got, err := m2.Result(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("restored result differs:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestGracefulStopSuspendsAndResumes: Stop() mid-job writes a suspend
 // checkpoint; a new manager finishes the job with the same bytes.
 func TestGracefulStopSuspendsAndResumes(t *testing.T) {

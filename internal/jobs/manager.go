@@ -143,7 +143,10 @@ var (
 )
 
 // job is the in-memory state of one job. The mutex guarding it is the
-// Manager's; blobs in data are immutable once set.
+// Manager's; blobs in data are immutable once set. A terminal job's task
+// and data are released (nil) once its final state is journaled: views
+// and results need neither, and a released job is never journaled again
+// (a nil blob under a set bitmap bit would decode as corrupt).
 type job struct {
 	id        string
 	typ       string
@@ -364,6 +367,7 @@ func (m *Manager) restore(jf *journalFile) {
 	switch {
 	case j.status.Terminal():
 		close(j.done)
+		j.task, j.data = nil, nil
 	default:
 		// queued or running at the time of the crash/stop: both resume
 		// as queued. Completed chunks — and quarantine decisions — ride
@@ -974,8 +978,15 @@ func (m *Manager) checkpoint(ctx context.Context, j *job) {
 }
 
 // persistTerminal writes the final journal state (best-effort: the
-// in-memory table is authoritative for this process's lifetime).
+// in-memory table is authoritative for this process's lifetime), then
+// releases the job's compute state. This is a job's last journal write,
+// so the release cannot reach the disk.
 func (m *Manager) persistTerminal(j *job) {
+	defer func() {
+		m.mu.Lock()
+		j.task, j.data = nil, nil
+		m.mu.Unlock()
+	}()
 	if m.cfg.Dir == "" {
 		return
 	}

@@ -6,16 +6,6 @@ import (
 	"math"
 )
 
-// Yield intervals for the factorization (O(bw²) per row) and the
-// triangular sweeps (O(bw) per row): both sized so a block between
-// yields is ~1ms of work at chip scale (bw ≈ 100), which bounds how
-// long a bulk factor or solve can starve interactive goroutines on a
-// saturated host. The yields are noise when nothing else is runnable.
-const (
-	cholFactorYieldRows = 256
-	cholSolveYieldRows  = 4096
-)
-
 // ErrBand reports that a banded Cholesky factorization is unavailable for
 // a matrix: its band is wider than the caller's budget, or a pivot lost
 // positive definiteness.
@@ -56,9 +46,6 @@ func NewBandCholesky(a *CSR, maxBand int) (*BandCholesky, error) {
 	stride := bw + 1
 	l := make([]float64, n*stride)
 	for i := 0; i < n; i++ {
-		if i%cholFactorYieldRows == cholFactorYieldRows-1 {
-			kernelYield()
-		}
 		ri := i * stride
 		// Scatter the lower part of row i of A into its band window; the
 		// factorization below then runs in place.
@@ -108,9 +95,6 @@ func (c *BandCholesky) Solve(b, x []float64) {
 	stride := bw + 1
 	// Forward: L·y = b, y stored in x.
 	for i := 0; i < n; i++ {
-		if i%cholSolveYieldRows == cholSolveYieldRows-1 {
-			kernelYield()
-		}
 		lo := i - bw
 		if lo < 0 {
 			lo = 0
@@ -125,9 +109,6 @@ func (c *BandCholesky) Solve(b, x []float64) {
 	}
 	// Backward: Lᵀ·x = y, descending so x[k>i] are already final.
 	for i := n - 1; i >= 0; i-- {
-		if i%cholSolveYieldRows == cholSolveYieldRows-1 {
-			kernelYield()
-		}
 		hi := i + bw
 		if hi > n-1 {
 			hi = n - 1

@@ -185,15 +185,9 @@ func Axpy(alpha float64, x, y []float64) {
 	})
 }
 
-// mulVecRows is the sequential SpMV kernel over a row range. The
-// row-counter scheduling point paces the serial full-matrix path on
-// chip-scale systems; on the parallel path each chunk is far below the
-// mask, so at most one fires per chunk.
+// mulVecRows is the sequential SpMV kernel over a row range.
 func (m *CSR) mulVecRows(x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		if i&0x7fff == 0x7fff {
-			kernelYield()
-		}
 		s := 0.0
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			s += m.Val[k] * x[m.ColIdx[k]]

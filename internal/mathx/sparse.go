@@ -27,12 +27,6 @@ func (c *Coord) Add(i, j int, v float64) {
 	c.is = append(c.is, i)
 	c.js = append(c.js, j)
 	c.vals = append(c.vals, v)
-	// Chip-scale assemblies stamp hundreds of thousands of triplets in
-	// one serial loop; a scheduling point every 64k keeps that span
-	// around a millisecond (one branch compare otherwise).
-	if len(c.is)&0xffff == 0 {
-		kernelYield()
-	}
 }
 
 // CSR is a compressed-sparse-row matrix.
@@ -49,16 +43,7 @@ func (c *Coord) ToCSR() *CSR {
 	for i := range order {
 		order[i] = i
 	}
-	// Chip-scale assemblies sort millions of triplets — tens of
-	// milliseconds of uninterruptible comparisons. A scheduling point
-	// every ~64k comparisons (≈1ms) keeps rebuild-heavy bulk solves
-	// from starving fast-lane goroutines on saturated hosts; the
-	// counter is noise on top of the comparator body.
-	var cmps int
 	sort.Slice(order, func(a, b int) bool {
-		if cmps++; cmps&0xffff == 0 {
-			kernelYield()
-		}
 		ia, ib := order[a], order[b]
 		if c.is[ia] != c.is[ib] {
 			return c.is[ia] < c.is[ib]
@@ -224,12 +209,6 @@ func SolveCGScratch(a *CSR, b, x []float64, rtol float64, maxIter int, m Precond
 	res := CGResult{}
 	bestRn, bestK := math.Inf(1), 0
 	for k := 0; k < maxIter; k++ {
-		// One iteration is a millisecond-scale unit of work on chip-scale
-		// systems; this scheduling point keeps a long bulk solve from
-		// pinning a slot for seconds and backs off for in-flight
-		// fast-lane requests (see yield.go). When nothing else is
-		// runnable it is noise next to the SpMV below.
-		kernelYield()
 		rn := Norm2(r) / bnorm
 		res.Iterations, res.Residual = k, rn
 		if rn < rtol {

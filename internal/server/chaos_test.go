@@ -498,6 +498,9 @@ func TestCancelledRequestFreesPoolSlot(t *testing.T) {
 
 	t.Cleanup(faultinject.Set(faultinject.SiteCoreSolveIter, faultinject.Sleep(perIter)))
 
+	// The clock starts before the timeout does, so time spent between
+	// the two under CPU contention cannot make the client look early.
+	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), cancelAfter)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/rules",
@@ -507,7 +510,6 @@ func TestCancelledRequestFreesPoolSlot(t *testing.T) {
 	}
 	req.Header.Set("Content-Type", "application/json")
 
-	start := time.Now()
 	if _, err := http.DefaultClient.Do(req); err == nil {
 		t.Fatal("request completed before the client timeout; raise perIter")
 	}

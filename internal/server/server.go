@@ -53,7 +53,6 @@ import (
 	"dsmtherm/internal/core"
 	"dsmtherm/internal/jobs"
 	"dsmtherm/internal/material"
-	"dsmtherm/internal/mathx"
 	"dsmtherm/internal/ntrs"
 	"dsmtherm/internal/rules"
 )
@@ -295,13 +294,7 @@ func New(cfg Config) *Server {
 	s.pool.panics = &s.metrics.Panics
 	s.flights.panics = &s.metrics.Panics
 	s.mux = http.NewServeMux()
-	// /v1/rules is the latency-sensitive scalar fast path; the fast-lane
-	// bracket makes chip-scale kernels (bulk jobs, big sync solves) back
-	// off at their scheduling points while one of these is in flight, so
-	// its tail latency holds even when a multi-second solve saturates
-	// the host. Only scalar routes may take the bracket — a route that
-	// runs the kernels itself would park against its own mark.
-	s.route("POST /v1/rules", fastLane(s.handleRules), gated)
+	s.route("POST /v1/rules", s.handleRules, gated)
 	s.route("POST /v1/sweep", s.handleSweep, gated)
 	s.route("POST /v1/batch", s.handleBatch, gated)
 	s.route("POST /v1/netcheck", s.handleNetcheck, gated)
@@ -335,16 +328,6 @@ const (
 	ungated = false
 	gated   = true
 )
-
-// fastLane brackets a scalar handler with the mathx fast-lane mark so
-// long-running kernels yield to it (see mathx yield.go).
-func fastLane(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		mathx.BeginFast()
-		defer mathx.EndFast()
-		h(w, r)
-	}
-}
 
 func (s *Server) route(pattern string, h http.HandlerFunc, admit bool) {
 	routeName := pattern[strings.IndexByte(pattern, ' ')+1:]
