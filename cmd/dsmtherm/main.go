@@ -75,34 +75,6 @@ func usage() {
 run "dsmtherm <subcommand> -h" for per-command flags`)
 }
 
-func nodeByName(name string) (*ntrs.Technology, error) {
-	switch name {
-	case "0.25", "250", "n250":
-		return ntrs.N250(), nil
-	case "0.10", "0.1", "100", "n100":
-		return ntrs.N100(), nil
-	}
-	return nil, fmt.Errorf("unknown node %q (want 0.25 or 0.10)", name)
-}
-
-func applyMaterials(tech *ntrs.Technology, gap, metal string) (*ntrs.Technology, error) {
-	if gap != "" {
-		d, err := material.DielectricByName(gap)
-		if err != nil {
-			return nil, err
-		}
-		tech = tech.WithGapFill(d)
-	}
-	if metal != "" {
-		m, err := material.MetalByName(metal)
-		if err != nil {
-			return nil, err
-		}
-		tech = tech.WithMetal(m)
-	}
-	return tech, nil
-}
-
 func cmdRules(args []string) error {
 	fs := flag.NewFlagSet("rules", flag.ExitOnError)
 	node := fs.String("node", "0.25", "technology node (0.25 or 0.10)")
@@ -114,11 +86,7 @@ func cmdRules(args []string) error {
 	useFDM := fs.Bool("fdm", false, "use the FDM-solved thermal impedance instead of the Weff model")
 	fs.Parse(args)
 
-	tech, err := nodeByName(*node)
-	if err != nil {
-		return err
-	}
-	tech, err = applyMaterials(tech, *gap, *metal)
+	tech, err := ntrs.Lookup(*node, *gap, *metal)
 	if err != nil {
 		return err
 	}
@@ -155,11 +123,7 @@ func cmdSweep(args []string) error {
 	gap := fs.String("gap", "", "gap-fill dielectric")
 	fs.Parse(args)
 
-	tech, err := nodeByName(*node)
-	if err != nil {
-		return err
-	}
-	tech, err = applyMaterials(tech, *gap, "")
+	tech, err := ntrs.Lookup(*node, *gap, "")
 	if err != nil {
 		return err
 	}
@@ -184,11 +148,7 @@ func cmdRepeater(args []string) error {
 	length := fs.Float64("len", 0, "override line length, mm (0 = lopt)")
 	fs.Parse(args)
 
-	tech, err := nodeByName(*node)
-	if err != nil {
-		return err
-	}
-	tech, err = applyMaterials(tech, *gap, "")
+	tech, err := ntrs.Lookup(*node, *gap, "")
 	if err != nil {
 		return err
 	}
@@ -343,7 +303,7 @@ func cmdTech(args []string) error {
 	fs.Parse(args)
 	techs := ntrs.Nodes()
 	if *node != "" {
-		t, err := nodeByName(*node)
+		t, err := ntrs.Lookup(*node, "", "")
 		if err != nil {
 			return err
 		}
@@ -369,11 +329,7 @@ func cmdDeck(args []string) error {
 	esdNs := fs.Float64("esd-ns", 200, "ESD pulse width, ns")
 	fs.Parse(args)
 
-	tech, err := nodeByName(*node)
-	if err != nil {
-		return err
-	}
-	tech, err = applyMaterials(tech, *gap, *metal)
+	tech, err := ntrs.Lookup(*node, *gap, *metal)
 	if err != nil {
 		return err
 	}

@@ -139,33 +139,6 @@ type Check struct {
 	includeSegments bool
 }
 
-func resolveTech(node, gap, metal string) (*ntrs.Technology, error) {
-	var tech *ntrs.Technology
-	switch node {
-	case "", "0.25", "250":
-		tech = ntrs.N250()
-	case "0.10", "0.1", "100":
-		tech = ntrs.N100()
-	default:
-		return nil, fmt.Errorf("%w: unknown node %q (want 0.25 or 0.10)", ErrInvalid, node)
-	}
-	if gap != "" {
-		d, err := material.DielectricByName(gap)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		tech = tech.WithGapFill(d)
-	}
-	if metal != "" {
-		m, err := material.MetalByName(metal)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		tech = tech.WithMetal(m)
-	}
-	return tech, nil
-}
-
 func orVal(p *float64, def float64) float64 {
 	if p == nil {
 		return def
@@ -183,9 +156,9 @@ func finitePos(name string, v float64) error {
 // Compile validates the request and builds a Check. It allocates O(Nx·Ny)
 // at most and performs no solves.
 func Compile(p Params) (*Check, error) {
-	tech, err := resolveTech(p.Node, p.Gap, p.Metal)
+	tech, err := ntrs.Lookup(p.Node, p.Gap, p.Metal)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	if p.Nx < 2 || p.Ny < 2 {
 		return nil, fmt.Errorf("%w: mesh %dx%d too small (want ≥ 2x2)", ErrInvalid, p.Nx, p.Ny)

@@ -95,6 +95,12 @@ func TestCompileValidation(t *testing.T) {
 			t.Errorf("%s: Compile accepted invalid params", c.name)
 		}
 	}
+	// Technology selector failures keep the engine's sentinel.
+	unknownGap := base
+	unknownGap.Gap = "vacuum"
+	if _, err := Compile(unknownGap); !errors.Is(err, ErrInvalid) {
+		t.Errorf("unknown gap: err = %v, want ErrInvalid", err)
+	}
 	// Every-node-a-pad uniform load has nowhere to land.
 	if _, err := Compile(Params{Nx: 2, Ny: 2, PadRing: true, UniformLoadA: fp(1)}); !errors.Is(err, ErrInvalid) {
 		t.Errorf("all-pads uniform load: err = %v, want ErrInvalid", err)

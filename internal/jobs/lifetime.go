@@ -13,13 +13,9 @@ import (
 const TypeLifetime = "lifetime"
 
 // lifetimeChunkSamples is the lifetime chunk granularity. A chip sample
-// is O(segment classes) closed-form arithmetic — orders of magnitude
-// cheaper than a Monte Carlo rule solve — so chunks carry far more
-// samples than mcChunkSamples while still finishing in well under a
-// second. Like every chunk constant, retuning it only invalidates
-// in-flight journals (chunk-count mismatch → progress reset), never
-// results.
-const lifetimeChunkSamples = 8192
+// is orders of magnitude cheaper than a Monte Carlo rule solve, so
+// chunks carry far more samples than mcChunkSamples.
+const lifetimeChunkSamples = lifetime.RangeSamples
 
 // lifetimeTask streams chip-TTF samples into mergeable quantile
 // sketches. Its chunk blobs are not gob: each is the canonical
@@ -50,7 +46,7 @@ func (t *lifetimeTask) Chunks() int {
 	return (t.model.Samples + lifetimeChunkSamples - 1) / lifetimeChunkSamples
 }
 
-// Run aggregates samples [c·8192, min((c+1)·8192, Samples)) into a
+// Run aggregates chunk c's lifetimeChunkSamples-wide sample range into a
 // fresh sketch. Each sample's RNG substream is keyed on its absolute
 // index (lifetime.Model.SampleRange), so the blob depends only on
 // (params, c).

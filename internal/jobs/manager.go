@@ -20,6 +20,9 @@ import (
 	"dsmtherm/internal/snapcodec"
 )
 
+// maxDeadline caps a client-requested per-job compute budget.
+const maxDeadline = 2 * time.Hour
+
 // Config tunes a Manager. The zero value is usable; Defaults() shows
 // the resolved numbers.
 type Config struct {
@@ -37,15 +40,9 @@ type Config struct {
 	// InteractiveWeight is the scheduler ratio: this many interactive
 	// picks for every bulk pick, work-conserving both ways (default 3).
 	InteractiveWeight int
-	// CheckpointEvery is the journal cadence in chunks (default 1:
-	// checkpoint after every chunk — chunks are sized so the solver work
-	// dwarfs the write).
-	CheckpointEvery int
-	// DefaultDeadline / MaxDeadline bound one run attempt's compute
-	// budget (defaults 15m / 2h). Client-requested deadlines are
-	// clamped to MaxDeadline.
+	// DefaultDeadline bounds one run attempt's compute budget (default
+	// 15m). Client-requested deadlines are clamped to maxDeadline.
 	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
 	// MaxJobs bounds the retained job table (default 1024). Inserting
 	// past it evicts the oldest terminal job (and its journal); with
 	// nothing evictable the submit is ErrQueueFull.
@@ -90,14 +87,8 @@ func (cfg Config) Defaults() Config {
 	if cfg.InteractiveWeight <= 0 {
 		cfg.InteractiveWeight = 3
 	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 1
-	}
 	if cfg.DefaultDeadline <= 0 {
 		cfg.DefaultDeadline = 15 * time.Minute
-	}
-	if cfg.MaxDeadline <= 0 {
-		cfg.MaxDeadline = 2 * time.Hour
 	}
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 1024
@@ -405,7 +396,7 @@ func (m *Manager) Submit(req SubmitRequest) (View, error) {
 		if err != nil || d <= 0 {
 			return View{}, fmt.Errorf("%w: deadline %q", ErrInvalid, req.Deadline)
 		}
-		deadline = min(d, m.cfg.MaxDeadline)
+		deadline = min(d, maxDeadline)
 	}
 	params, err := canonicalParams(req)
 	if err != nil {
@@ -754,14 +745,14 @@ func (m *Manager) runJob(j *job) {
 }
 
 // runChunks executes every incomplete chunk in index order under the
-// chunk supervisor, checkpointing on the configured cadence. Chunk
-// results are pure functions of (params, index), so "in index order" is
-// an implementation convenience, not a correctness requirement — the
+// chunk supervisor, checkpointing after every chunk (chunks are sized
+// so the solver work dwarfs the write). Chunk results are pure
+// functions of (params, index), so "in index order" is an
+// implementation convenience, not a correctness requirement — the
 // journal would be just as valid with holes. Chunks quarantined by the
 // supervisor (this run or a resumed one) are skipped, their quarantine
 // journaled the moment it is decided.
 func (m *Manager) runChunks(ctx context.Context, j *job) error {
-	since := 0
 	quarantined := make(map[int]bool, len(j.failed))
 	m.mu.Lock()
 	for i := range j.failed {
@@ -788,19 +779,14 @@ func (m *Manager) runChunks(ctx context.Context, j *job) error {
 			m.mu.Unlock()
 			m.chunksQuarantined.Add(1)
 			log.Printf("jobs: %s chunk %d quarantined after %d attempts: %s", j.id, c, fail.Attempts, fail.Error)
-			m.checkpoint(m.metaCtx(ctx, j.id, c), j)
-			since = 0
 		default:
 			m.mu.Lock()
 			bitSet(j.bitmap, c)
 			j.data[c] = blob
 			m.mu.Unlock()
 			m.chunksRun.Add(1)
-			if since++; since >= m.cfg.CheckpointEvery {
-				m.checkpoint(m.metaCtx(ctx, j.id, c), j)
-				since = 0
-			}
 		}
+		m.checkpoint(m.metaCtx(ctx, j.id, c), j)
 	}
 	return nil
 }

@@ -73,31 +73,12 @@ func decodeParams(params json.RawMessage, v any) error {
 	return nil
 }
 
-// resolveTech maps the wire node/gap/metal triple to a technology (the
-// same names the synchronous /v1/rules API accepts).
+// resolveTech resolves the wire node/gap/metal triple (the names the
+// synchronous API accepts) as a submit-time ErrInvalid.
 func resolveTech(node, gap, metal string) (*ntrs.Technology, error) {
-	var tech *ntrs.Technology
-	switch node {
-	case "", "0.25", "250":
-		tech = ntrs.N250()
-	case "0.10", "0.1", "100":
-		tech = ntrs.N100()
-	default:
-		return nil, fmt.Errorf("%w: unknown node %q (want 0.25 or 0.10)", ErrInvalid, node)
-	}
-	if gap != "" {
-		d, err := material.DielectricByName(gap)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		tech = tech.WithGapFill(d)
-	}
-	if metal != "" {
-		m, err := material.MetalByName(metal)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
-		tech = tech.WithMetal(m)
+	tech, err := ntrs.Lookup(node, gap, metal)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	return tech, nil
 }

@@ -44,6 +44,15 @@ const (
 // DefaultSamples is the Monte Carlo size when the request leaves it 0.
 const DefaultSamples = 100000
 
+// RangeSamples is the sample-range step of every multi-range sampling
+// pass: the lifetime job's chunk size and the synchronous handler's
+// cancellation granularity. A chip sample is O(segment classes)
+// closed-form arithmetic, so one range finishes in milliseconds.
+// Retuning it only invalidates in-flight job journals (chunk-count
+// mismatch → progress reset), never results: SampleRange keys each
+// sample on its absolute index.
+const RangeSamples = 8192
+
 // SketchAlpha is the relative accuracy of the lifetime quantile sketch
 // (0.1%, far inside Monte Carlo noise at any permitted sample count).
 const SketchAlpha = 0.001

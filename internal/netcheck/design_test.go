@@ -1,6 +1,7 @@
 package netcheck
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -57,6 +58,7 @@ func TestLoadDesignErrors(t *testing.T) {
 		`{"node": "0.25", "gap": "teflon"}`,      // unknown dielectric
 		`{"node": "0.25", "metal": "gold"}`,      // unknown metal
 		`{"node": "0.25", "unknownField": true}`, // schema violation
+		`{"segments": []}`,                       // missing node
 		`{"node": "0.25", "segments": [
 		   {"net":"n","name":"s","level":99,"lengthUm":10,
 		    "waveform":{"kind":"dc","amps":1}}]}`, // bad level
@@ -70,6 +72,12 @@ func TestLoadDesignErrors(t *testing.T) {
 	for i, s := range bad {
 		if _, _, err := LoadDesign(strings.NewReader(s)); err == nil {
 			t.Errorf("design %d should fail", i)
+		}
+	}
+	// Technology selector failures keep the engine's sentinel.
+	for _, s := range []string{bad[1], bad[2], bad[3], bad[5]} {
+		if _, _, err := LoadDesign(strings.NewReader(s)); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: err = %v, want ErrInvalid", s, err)
 		}
 	}
 }

@@ -13,6 +13,7 @@
 package ntrs
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -145,6 +146,42 @@ func N100() *Technology {
 
 // Nodes returns both paper nodes, 0.25 µm first.
 func Nodes() []*Technology { return []*Technology{N250(), N100()} }
+
+// ErrUnknown is wrapped by every Lookup failure: a node, gap-fill or
+// metal name that selects nothing.
+var ErrUnknown = errors.New("ntrs: unknown technology selector")
+
+// Lookup resolves the technology selectors every front end accepts.
+// The node is "" (the 0.25 µm default), "0.25", "250" or "n250" for
+// N250, and "0.10", "0.1", "100" or "n100" for N100. A non-empty gap
+// swaps the gap-fill dielectric (material.DielectricByName names) and a
+// non-empty metal the interconnect metal (material.MetalByName names).
+func Lookup(node, gap, metal string) (*Technology, error) {
+	var t *Technology
+	switch node {
+	case "", "0.25", "250", "n250":
+		t = N250()
+	case "0.10", "0.1", "100", "n100":
+		t = N100()
+	default:
+		return nil, fmt.Errorf("%w: node %q (want 0.25 or 0.10)", ErrUnknown, node)
+	}
+	if gap != "" {
+		d, err := material.DielectricByName(gap)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrUnknown, err)
+		}
+		t = t.WithGapFill(d)
+	}
+	if metal != "" {
+		m, err := material.MetalByName(metal)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrUnknown, err)
+		}
+		t = t.WithMetal(m)
+	}
+	return t, nil
+}
 
 // NumLevels returns the metallization level count.
 func (t *Technology) NumLevels() int { return len(t.Layers) }

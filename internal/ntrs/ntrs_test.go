@@ -1,6 +1,7 @@
 package ntrs
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -232,5 +233,44 @@ func TestSheetResistanceAPI(t *testing.T) {
 	}
 	if _, err := tech.SheetResistance(0, 300); err == nil {
 		t.Error("invalid level must fail")
+	}
+}
+
+func TestLookup(t *testing.T) {
+	n250, n100 := N250().Name, N100().Name
+	cases := []struct {
+		node, gap, metal string
+		want             string // Technology.Name; "" = must fail
+	}{
+		{"", "", "", n250},
+		{"0.25", "", "", n250},
+		{"250", "", "", n250},
+		{"n250", "", "", n250},
+		{"0.10", "", "", n100},
+		{"0.1", "", "", n100},
+		{"100", "", "", n100},
+		{"n100", "", "", n100},
+		{"0.10", "HSQ", "", N100().WithGapFill(&material.HSQ).Name},
+		{"0.25", "", "AlCu", N250().WithMetal(&material.AlCu).Name},
+		{"0.07", "", "", ""},
+		{"N250", "", "", ""},
+		{"0.25", "vacuum", "", ""},
+		{"0.25", "", "unobtainium", ""},
+	}
+	for _, c := range cases {
+		tech, err := Lookup(c.node, c.gap, c.metal)
+		if c.want == "" {
+			if !errors.Is(err, ErrUnknown) {
+				t.Errorf("Lookup(%q, %q, %q) error = %v, want ErrUnknown", c.node, c.gap, c.metal, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Lookup(%q, %q, %q): %v", c.node, c.gap, c.metal, err)
+			continue
+		}
+		if tech.Name != c.want {
+			t.Errorf("Lookup(%q, %q, %q) = %s, want %s", c.node, c.gap, c.metal, tech.Name, c.want)
+		}
 	}
 }

@@ -160,21 +160,20 @@ func (req *RulesRequest) params() rulesParams {
 
 // rulesWork is one validated rules query, ready to solve inside a pool
 // slot. prepareRules does everything cheap (technology resolution,
-// validation, canonical keys) so /v1/batch can deduplicate entries
-// before any solver time is spent.
+// validation) so /v1/batch can deduplicate entries on their canonical
+// keys before any solver time is spent; /v1/sweep reuses one rulesWork
+// at every duty cycle (keyAt, problemAt).
 type rulesWork struct {
-	p        rulesParams
-	tech     *ntrs.Technology
-	line     *geometry.Line
-	spec     rules.Spec
-	solveKey string
-	ruleKey  string
+	p    rulesParams
+	tech *ntrs.Technology
+	line *geometry.Line
+	spec rules.Spec
 }
 
 func (s *Server) prepareRules(p rulesParams) (*rulesWork, error) {
-	tech, err := resolveTech(p.Node, p.Gap, p.Metal)
+	tech, err := ntrs.Lookup(p.Node, p.Gap, p.Metal)
 	if err != nil {
-		return nil, err
+		return nil, badRequestf("%v", err)
 	}
 	line, err := tech.Line(p.Level, phys.Microns(p.LengthUm))
 	if err != nil {
@@ -184,29 +183,38 @@ func (s *Server) prepareRules(p rulesParams) (*rulesWork, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &rulesWork{
-		p: p, tech: tech, line: line, spec: spec,
-		solveKey: solveKey(p.Node, p.Gap, p.Metal, p.Level, line.Length,
-			p.DutyCycle, p.J0MA, p.TrefC),
-		ruleKey: levelRuleKey(p.Node, p.Gap, p.Metal, p.Level, p.J0MA, p.TrefC),
-	}, nil
+	return &rulesWork{p: p, tech: tech, line: line, spec: spec}, nil
+}
+
+// keyAt is the canonical solve key of the query at duty cycle r.
+func (wk *rulesWork) keyAt(r float64) string {
+	p := wk.p
+	return solveKey(p.Node, p.Gap, p.Metal, p.Level, wk.line.Length, r, p.J0MA, p.TrefC)
+}
+
+// problemAt is the self-consistent solve of the query at duty cycle r.
+func (wk *rulesWork) problemAt(r float64) core.Problem {
+	return core.Problem{
+		Line:  wk.line,
+		Model: *wk.spec.Model,
+		R:     r,
+		J0:    phys.MAPerCm2(wk.p.J0MA),
+		Tref:  phys.CToK(wk.p.TrefC),
+	}
 }
 
 // solveRules answers one prepared rules query. It must run inside a
 // pool slot: the solve and the deck row count against the same global
 // solver concurrency bound as sweep fan-out and batch signoff.
 func (s *Server) solveRules(ctx context.Context, wk *rulesWork) (*RulesResponse, error) {
-	sol, hit, solCoal, solStale, err := s.solveCached(ctx, wk.solveKey, core.Problem{
-		Line:  wk.line,
-		Model: *wk.spec.Model,
-		R:     wk.p.DutyCycle,
-		J0:    phys.MAPerCm2(wk.p.J0MA),
-		Tref:  phys.CToK(wk.p.TrefC),
-	})
+	r := wk.p.DutyCycle
+	sol, hit, solCoal, solStale, err := s.solveCached(ctx, wk.keyAt(r), wk.problemAt(r))
 	if err != nil {
 		return nil, err
 	}
-	rule, ruleCoal, ruleStale, err := s.levelRuleCached(ctx, wk.ruleKey, wk.tech, wk.p.Level, wk.spec)
+	p := wk.p
+	rule, _, ruleCoal, ruleStale, err := s.levelRuleCached(ctx,
+		levelRuleKey(p.Node, p.Gap, p.Metal, p.Level, p.J0MA, p.TrefC), wk.tech, p.Level, wk.spec)
 	if err != nil {
 		return nil, err
 	}
@@ -306,12 +314,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		valid++
-		if sl, ok := byKey[wk.solveKey]; ok {
+		key := wk.keyAt(wk.p.DutyCycle)
+		if sl, ok := byKey[key]; ok {
 			items[i] = sl
 			continue
 		}
 		sl := &slot{wk: wk}
-		byKey[wk.solveKey] = sl
+		byKey[key] = sl
 		unique = append(unique, sl)
 		items[i] = sl
 	}
@@ -402,47 +411,25 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequestf("%d sweep points exceeds limit %d", len(req.DutyCycles), s.cfg.MaxSweepPoints))
 		return
 	}
-	node := req.Node
-	if node == "" {
-		node = "0.25"
+	// The sweep is a rules query with the duty cycle left open.
+	rr := RulesRequest{
+		Node: req.Node, Level: req.Level, Gap: req.Gap, Metal: req.Metal,
+		J0MA: req.J0MA, TrefC: req.TrefC, LengthUm: req.LengthUm,
 	}
-	j0MA := orDefault(req.J0MA, 1.8)
-	trefC := orDefault(req.TrefC, 100)
-	lengthUm := orDefault(req.LengthUm, 2000)
-	tech, err := resolveTech(node, req.Gap, req.Metal)
+	wk, err := s.prepareRules(rr.params())
 	if err != nil {
 		writeError(w, err)
-		return
-	}
-	line, err := tech.Line(req.Level, phys.Microns(lengthUm))
-	if err != nil {
-		writeError(w, badRequestf("%v", err))
 		return
 	}
 	rs := req.DutyCycles
 	if len(rs) == 0 {
 		rs = core.Fig2DutyCycles(points)
 	}
-	spec := rules.Spec{J0: phys.MAPerCm2(j0MA), Tref: phys.CToK(trefC)}
-	if err := spec.Validate(); err != nil {
-		writeError(w, err)
-		return
-	}
-
 	pts := make([]SweepPointJSON, len(rs))
 	var anyStale atomic.Bool
 	err = s.pool.ForEach(r.Context(), len(rs), func(ctx context.Context, i int) error {
 		duty := rs[i]
-		sol, _, _, stale, err := s.solveCached(ctx,
-			solveKey(node, req.Gap, req.Metal, req.Level, line.Length,
-				duty, j0MA, trefC),
-			core.Problem{
-				Line:  line,
-				Model: *spec.Model,
-				R:     duty,
-				J0:    phys.MAPerCm2(j0MA),
-				Tref:  phys.CToK(trefC),
-			})
+		sol, _, _, stale, err := s.solveCached(ctx, wk.keyAt(duty), wk.problemAt(duty))
 		if err != nil {
 			return fmt.Errorf("sweep at r=%g: %w", duty, err)
 		}
@@ -458,7 +445,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, SweepResponse{
-		Node: node, Level: req.Level, J0MA: j0MA, Points: pts,
+		Node: wk.p.Node, Level: req.Level, J0MA: wk.p.J0MA, Points: pts,
 		Stale: anyStale.Load(),
 	})
 }
@@ -593,9 +580,9 @@ type TechResponse struct {
 
 func (s *Server) handleTech(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	tech, err := resolveTech(q.Get("node"), q.Get("gap"), q.Get("metal"))
+	tech, err := ntrs.Lookup(q.Get("node"), q.Get("gap"), q.Get("metal"))
 	if err != nil {
-		writeError(w, err)
+		writeError(w, badRequestf("%v", err))
 		return
 	}
 	resp := TechResponse{

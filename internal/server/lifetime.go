@@ -13,7 +13,10 @@ import (
 // design goal. Sampling is closed-form per chip (O(classes), no root
 // solves), so the default cap's worth of samples finishes well inside
 // a request deadline; it still runs inside one pool slot because it is
-// one logical compute task. Bigger studies belong on the bulk job lane
+// one logical compute task. It samples in lifetime.RangeSamples steps,
+// checking ctx between them, so a deadline or a disconnect frees the
+// slot mid-run; one sketch fed range after range holds the same state
+// as one uninterrupted pass. Bigger studies belong on the bulk job lane
 // ("lifetime" job type), which chunks the same sample stream into
 // journaled, mergeable sketch states.
 func (s *Server) handleLifetime(w http.ResponseWriter, r *http.Request) {
@@ -37,11 +40,13 @@ func (s *Server) handleLifetime(w http.ResponseWriter, r *http.Request) {
 	var rep *lifetime.Report
 	err = s.pool.ForEach(r.Context(), 1, func(ctx context.Context, _ int) error {
 		sk := lifetime.NewSketch()
-		if err := model.SampleRange(sk, 0, model.Samples); err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
-			return err
+		for lo := 0; lo < model.Samples; lo += lifetime.RangeSamples {
+			if err := model.SampleRange(sk, lo, min(lo+lifetime.RangeSamples, model.Samples)); err != nil {
+				return err
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 		rep, err = model.BuildReport(sk)
 		return err

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dsmtherm/internal/lifetime"
 )
@@ -87,4 +88,39 @@ func TestLifetimeCapRedirectsToJobs(t *testing.T) {
 	if !strings.Contains(string(resp), "lifetime") || !strings.Contains(string(resp), "job") {
 		t.Fatalf("cap error must point at the job lane: %s", resp)
 	}
+}
+
+// TestLifetimeTimeoutMidRun: /v1/lifetime checks its deadline between
+// sample ranges, so a route timeout far below the full sampling time
+// answers a structured 504 and frees its pool slot long before the
+// samples would have finished. The bound is relative to an uncancelled
+// run of the same study measured here, so it holds on any machine.
+func TestLifetimeTimeoutMidRun(t *testing.T) {
+	body := `{"segments":[{"count":500000,"tempC":105,"jMA":0.4},{"count":20000,"tempC":135,"jMA":1.1}],` +
+		`"samples":200000,"seed":3,"rho":0.2}` // the default sync cap
+
+	_, ts := newTestServer(t)
+	start := time.Now()
+	if status, resp := postJSON(t, ts.URL+"/v1/lifetime", body); status != http.StatusOK {
+		t.Fatalf("uncancelled run: status %d: %s", status, resp)
+	}
+	full := time.Since(start)
+
+	s := New(Config{Workers: 2, CacheEntries: 16,
+		EndpointTimeouts: map[string]time.Duration{"/v1/lifetime": full / 20}})
+	cts := httptest.NewServer(s.Handler())
+	t.Cleanup(cts.Close)
+	start = time.Now()
+	status, resp := postJSON(t, cts.URL+"/v1/lifetime", body)
+	elapsed := time.Since(start)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", status, resp)
+	}
+	if code := errorCode(t, resp); code != "timeout" {
+		t.Fatalf("code %q, want timeout", code)
+	}
+	if elapsed > full/2 {
+		t.Fatalf("timed-out request held its slot %v; the uncancelled run took %v", elapsed, full)
+	}
+	waitQuiescent(t, s, time.Second)
 }

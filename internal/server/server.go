@@ -52,7 +52,6 @@ import (
 
 	"dsmtherm/internal/core"
 	"dsmtherm/internal/jobs"
-	"dsmtherm/internal/material"
 	"dsmtherm/internal/ntrs"
 	"dsmtherm/internal/rules"
 )
@@ -478,34 +477,6 @@ func (s *Server) snapshotLoop(ctx context.Context) {
 // Draining reports whether the server has entered its shutdown drain.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// resolveTech maps request-level technology selectors to a Technology.
-func resolveTech(node, gap, metal string) (*ntrs.Technology, error) {
-	var tech *ntrs.Technology
-	switch node {
-	case "", "0.25", "250":
-		tech = ntrs.N250()
-	case "0.10", "0.1", "100":
-		tech = ntrs.N100()
-	default:
-		return nil, badRequestf("unknown node %q (want 0.25 or 0.10)", node)
-	}
-	if gap != "" {
-		d, err := material.DielectricByName(gap)
-		if err != nil {
-			return nil, badRequestf("%v", err)
-		}
-		tech = tech.WithGapFill(d)
-	}
-	if metal != "" {
-		m, err := material.MetalByName(metal)
-		if err != nil {
-			return nil, badRequestf("%v", err)
-		}
-		tech = tech.WithMetal(m)
-	}
-	return tech, nil
-}
-
 // Canonical cache keys. Floats are rendered with strconv 'x' (hex, exact
 // round-trip), so two requests hit the same entry iff their solve inputs
 // are bit-identical — no tolerance guessing, no false sharing. String
@@ -570,12 +541,13 @@ func deckKey(node, gap, metal string, j0MA float64) string {
 	return b.String()
 }
 
-// solveResult is what the cache stores for a solve key: the outcome,
-// success or not. Solves are deterministic, so remembering failures
-// (ErrNoSolution, validation errors) is as sound as remembering
-// solutions and shields the solver from repeated doomed requests.
-type solveResult struct {
-	sol core.Solution
+// result is what the cache stores for a key: the outcome, success or
+// not. Solves and rule generation are deterministic, so remembering
+// failures (ErrNoSolution, validation errors) is as sound as
+// remembering values and shields the solver from repeated doomed
+// requests.
+type result[T any] struct {
+	v   T
 	err error
 }
 
@@ -651,99 +623,62 @@ func (s *Server) markStale(at time.Time) bool {
 	return true
 }
 
-// solveCached runs core.SolveCtx through the cache and, on a miss,
-// through the resilience gates and the flight group: concurrent misses
-// on the same key block on one in-flight solve instead of each
-// re-solving. Cancellation outcomes are never cached (they describe the
-// request's lifecycle, not the problem), and neither are unclassified
-// internal failures (cacheableOutcome); those feed the quarantine and
-// breaker instead.
-func (s *Server) solveCached(ctx context.Context, key string, p core.Problem) (sol core.Solution, hit, coalesced, stale bool, err error) {
-	if v, at, ok := s.cache.GetAt(key); ok {
-		res := v.(solveResult)
-		s.metrics.SolveCached.Add(1)
-		return res.sol, true, false, s.markStale(at), res.err
+// cached runs compute through the cache and, on a miss, through the
+// resilience gates and the flight group: concurrent misses on the same
+// key block on one in-flight computation instead of each recomputing.
+// hits counts the answers served from the cache. Cancellation outcomes
+// are never cached (they describe the request's lifecycle, not the
+// problem), and neither are unclassified internal failures
+// (cacheableOutcome); those feed the quarantine and breaker instead.
+func cached[T any](ctx context.Context, s *Server, key string, hits *atomic.Uint64, compute func(context.Context) (T, error)) (v T, hit, coalesced, stale bool, err error) {
+	if c, at, ok := s.cache.GetAt(key); ok {
+		res := c.(result[T])
+		hits.Add(1)
+		return res.v, true, false, s.markStale(at), res.err
 	}
-	probe, gerr := s.gateMiss(key)
-	if gerr != nil {
-		return core.Solution{}, false, false, false, gerr
+	probe, err := s.gateMiss(key)
+	if err != nil {
+		return v, false, false, false, err
 	}
-	var v any
-	v, coalesced, err = s.flights.Do(ctx, key, func() (any, error) {
+	var out any
+	out, coalesced, err = s.flights.Do(ctx, key, func() (any, error) {
+		v, err := compute(ctx)
+		if ctx.Err() == nil && cacheableOutcome(err) {
+			s.cache.Add(key, result[T]{v: v, err: err})
+		}
+		return v, err
+	})
+	s.recordMiss(key, err, coalesced, probe)
+	v, _ = out.(T)
+	return v, false, coalesced, false, err
+}
+
+// solveCached runs core.SolveCtx through cached.
+func (s *Server) solveCached(ctx context.Context, key string, p core.Problem) (core.Solution, bool, bool, bool, error) {
+	return cached(ctx, s, key, &s.metrics.SolveCached, func(ctx context.Context) (core.Solution, error) {
 		start := time.Now()
 		sol, err := core.SolveCtx(ctx, p)
 		s.metrics.ObserveSolve(time.Since(start), err)
-		if ctx.Err() == nil && cacheableOutcome(err) {
-			s.cache.Add(key, solveResult{sol: sol, err: err})
-		}
 		return sol, err
 	})
-	s.recordMiss(key, err, coalesced, probe)
-	sol, _ = v.(core.Solution)
-	return sol, false, coalesced, false, err
 }
 
-// levelRuleCached runs rules.GenerateLevelCtx through the cache, the
-// resilience gates and the flight group (same caching rules as
-// solveCached).
-func (s *Server) levelRuleCached(ctx context.Context, key string, tech *ntrs.Technology, level int, spec rules.Spec) (rule rules.LevelRule, coalesced, stale bool, err error) {
-	if v, at, ok := s.cache.GetAt(key); ok {
-		s.metrics.DeckCacheHit.Add(1)
-		res := v.(levelRuleResult)
-		return res.rule, false, s.markStale(at), res.err
-	}
-	probe, gerr := s.gateMiss(key)
-	if gerr != nil {
-		return rules.LevelRule{}, false, false, gerr
-	}
-	var v any
-	v, coalesced, err = s.flights.Do(ctx, key, func() (any, error) {
+// levelRuleCached runs rules.GenerateLevelCtx through cached.
+func (s *Server) levelRuleCached(ctx context.Context, key string, tech *ntrs.Technology, level int, spec rules.Spec) (rules.LevelRule, bool, bool, bool, error) {
+	return cached(ctx, s, key, &s.metrics.DeckCacheHit, func(ctx context.Context) (rules.LevelRule, error) {
 		rule, err := rules.GenerateLevelCtx(ctx, tech, level, spec)
 		s.metrics.DecksBuilt.Add(1)
-		if ctx.Err() == nil && cacheableOutcome(err) {
-			s.cache.Add(key, levelRuleResult{rule: rule, err: err})
-		}
 		return rule, err
 	})
-	s.recordMiss(key, err, coalesced, probe)
-	rule, _ = v.(rules.LevelRule)
-	return rule, coalesced, false, err
 }
 
-type levelRuleResult struct {
-	rule rules.LevelRule
-	err  error
-}
-
-// deckCached runs rules.GenerateCtx through the cache, the resilience
-// gates and the flight group (same caching rules as solveCached). Deck
-// values hold a *ntrs.Technology and are excluded from snapshots; they
-// rebuild on first use after a restart.
-func (s *Server) deckCached(ctx context.Context, key string, tech *ntrs.Technology, spec rules.Spec) (deck *rules.Deck, hit, coalesced, stale bool, err error) {
-	if v, at, ok := s.cache.GetAt(key); ok {
-		s.metrics.DeckCacheHit.Add(1)
-		res := v.(deckResult)
-		return res.deck, true, false, s.markStale(at), res.err
-	}
-	probe, gerr := s.gateMiss(key)
-	if gerr != nil {
-		return nil, false, false, false, gerr
-	}
-	var v any
-	v, coalesced, err = s.flights.Do(ctx, key, func() (any, error) {
+// deckCached runs rules.GenerateCtx through cached. Deck values hold a
+// *ntrs.Technology and are excluded from snapshots; they rebuild on
+// first use after a restart.
+func (s *Server) deckCached(ctx context.Context, key string, tech *ntrs.Technology, spec rules.Spec) (*rules.Deck, bool, bool, bool, error) {
+	return cached(ctx, s, key, &s.metrics.DeckCacheHit, func(ctx context.Context) (*rules.Deck, error) {
 		deck, err := rules.GenerateCtx(ctx, tech, spec)
 		s.metrics.DecksBuilt.Add(1)
-		if ctx.Err() == nil && cacheableOutcome(err) {
-			s.cache.Add(key, deckResult{deck: deck, err: err})
-		}
 		return deck, err
 	})
-	s.recordMiss(key, err, coalesced, probe)
-	deck, _ = v.(*rules.Deck)
-	return deck, false, coalesced, false, err
-}
-
-type deckResult struct {
-	deck *rules.Deck
-	err  error
 }

@@ -297,6 +297,7 @@ func TestErrorMapping(t *testing.T) {
 		{"bad level", "/v1/rules", `{"node":"0.25","level":42}`, http.StatusBadRequest, "invalid_request"},
 		{"bad duty cycle", "/v1/rules", `{"node":"0.25","level":5,"dutyCycle":7}`, http.StatusBadRequest, "invalid_request"},
 		{"bad metal", "/v1/rules", `{"node":"0.25","level":5,"metal":"unobtainium"}`, http.StatusBadRequest, "invalid_request"},
+		{"bad gap", "/v1/rules", `{"node":"0.25","level":5,"gap":"vacuum"}`, http.StatusBadRequest, "invalid_request"},
 		{"no solution", "/v1/rules", `{"node":"0.25","level":5,"j0MA":1e9}`, http.StatusUnprocessableEntity, "no_solution"},
 		{"netcheck bad node", "/v1/netcheck", `{"node":"1.21","segments":[]}`, http.StatusBadRequest, "invalid_request"},
 		{"sweep bad r", "/v1/sweep", `{"level":5,"dutyCycles":[0.5,-2]}`, http.StatusBadRequest, "invalid_request"},
