@@ -205,9 +205,11 @@ func TestAdmissionWaitClampedToDeadline(t *testing.T) {
 	}
 	defer release()
 
+	// The clock starts before the deadline is set, so time spent between
+	// the two cannot make the rejection look early.
+	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	_, err = a.Acquire(ctx)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrQueueWait) {

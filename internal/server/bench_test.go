@@ -276,3 +276,24 @@ func BenchmarkQuarantineHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServerLifetime is the service-layer cost of one signoff
+// round's lifetime step: an in-process /v1/lifetime of a 50000-sample,
+// 8-class census (the shape a 64×64 chipcheck bins into) at the default
+// pool size, which fans the sample ranges across every slot.
+func BenchmarkServerLifetime(b *testing.B) {
+	var classes []string
+	for c := 0; c < 8; c++ {
+		classes = append(classes, fmt.Sprintf(`{"count":1000,"tempC":%g,"jMA":%g}`, 100+4*float64(c), 0.2+0.2*float64(c)))
+	}
+	body := `{"segments":[` + strings.Join(classes, ",") + `],"samples":50000,"seed":1,"rho":0.3}`
+	h := New(Config{}).Handler()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/lifetime", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}

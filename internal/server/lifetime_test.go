@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -123,4 +125,56 @@ func TestLifetimeTimeoutMidRun(t *testing.T) {
 		t.Fatalf("timed-out request held its slot %v; the uncancelled run took %v", elapsed, full)
 	}
 	waitQuiescent(t, s, time.Second)
+}
+
+// TestLifetimeFanOutByteIdentical: /v1/lifetime fans its sample ranges
+// across the pool, and the body is the same bytes at every pool size —
+// and equal to the report of one serial pass over the whole range.
+// The sample counts sit below, at and just over one range, plus the
+// signoff-round size.
+func TestLifetimeFanOutByteIdentical(t *testing.T) {
+	const census = `"segments":[{"count":500000,"tempC":105,"jMA":0.4},{"count":20000,"tempC":135,"jMA":1.1}],` +
+		`"seed":3,"rho":0.2`
+	pools := []int{1, 2, 8}
+	servers := make([]*httptest.Server, len(pools))
+	for k, workers := range pools {
+		servers[k] = httptest.NewServer(New(Config{Workers: workers, CacheEntries: 16}).Handler())
+		t.Cleanup(servers[k].Close)
+	}
+	for _, n := range []int{100, lifetime.RangeSamples, lifetime.RangeSamples + 1, 50000} {
+		t.Run(strconv.Itoa(n), func(t *testing.T) {
+			body := `{` + census + `,"samples":` + strconv.Itoa(n) + `}`
+			var p lifetime.Params
+			if err := json.Unmarshal([]byte(body), &p); err != nil {
+				t.Fatal(err)
+			}
+			m, err := lifetime.Compile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sk := lifetime.NewSketch()
+			if err := m.SampleRange(sk, 0, n); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := m.BuildReport(sk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n')
+			for k, ts := range servers {
+				workers := pools[k]
+				status, got := postJSON(t, ts.URL+"/v1/lifetime", body)
+				if status != http.StatusOK {
+					t.Fatalf("workers=%d: status %d: %s", workers, status, got)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("workers=%d: body differs from the serial report\n got %s\nwant %s", workers, got, want)
+				}
+			}
+		})
+	}
 }

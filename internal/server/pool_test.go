@@ -131,13 +131,22 @@ func TestPoolForEachErrorNormalization(t *testing.T) {
 				return ctx
 			},
 			fn: func(parent context.Context) func(ctx context.Context, i int) error {
+				started := make(chan struct{}, 4)
 				return func(ctx context.Context, i int) error {
 					if i == 0 {
-						// Error first, so it holds the cancellation cause…
+						// Error first, so it holds the cancellation cause —
+						// but only once a sibling is running, or ForEach
+						// could stop scheduling before any sibling starts…
+						select {
+						case <-started:
+						case <-parent.Done():
+						}
 						return sentinel
 					}
-					// …while a sibling outlives the parent's deadline, so
-					// ForEach returns only after the parent ctx has ended.
+					// …while that sibling outlives the parent's deadline,
+					// so ForEach returns only after the parent ctx has
+					// ended.
+					started <- struct{}{}
 					<-parent.Done()
 					return nil
 				}
@@ -156,10 +165,16 @@ func TestPoolForEachErrorNormalization(t *testing.T) {
 				return ctx
 			},
 			fn: func(parent context.Context) func(ctx context.Context, i int) error {
+				started := make(chan struct{}, 4)
 				return func(ctx context.Context, i int) error {
 					if i == 0 {
+						select {
+						case <-started:
+						case <-parent.Done():
+						}
 						return wrapped()
 					}
+					started <- struct{}{}
 					<-parent.Done()
 					return nil
 				}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -777,5 +778,65 @@ func TestReadyz(t *testing.T) {
 	s.draining.Store(false)
 	if status := getJSON(t, ts.URL+"/readyz", &st); status != http.StatusOK || st.Status != "ready" {
 		t.Errorf("recovered readyz = %d %q, want 200 ready", status, st.Status)
+	}
+}
+
+// TestBodiesCompactJSON: response bodies are one line of compact JSON
+// ending in "\n", with the same top-level keys as ever — a result, an
+// error and the metrics document alike.
+func TestBodiesCompactJSON(t *testing.T) {
+	_, ts := newTestServer(t)
+	cases := []struct {
+		name, path, body string // an empty body sends a GET
+		status           int
+		keys             []string
+	}{
+		{"rules", "/v1/rules", `{"node":"0.25","level":5,"dutyCycle":0.1,"j0MA":1.8}`, http.StatusOK,
+			[]string{"cached", "coalesced", "dutyCycle", "j0MA", "level", "node", "rule", "solve"}},
+		{"chipcheck", "/v1/chipcheck", chipBody, http.StatusOK, []string{"segments", "summary", "worst"}},
+		{"error", "/v1/rules", `{"node":"9.99"}`, http.StatusBadRequest, []string{"error"}},
+		{"metrics", "/metrics", "", http.StatusOK, []string{"admission", "cache", "chipcheck", "endpoints",
+			"inFlight", "lifetime", "netcheck", "pool", "resilience", "solver", "uptimeSec"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var status int
+			var body []byte
+			if c.body != "" {
+				status, body = postJSON(t, ts.URL+c.path, c.body)
+			} else {
+				resp, err := http.Get(ts.URL + c.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if body, err = io.ReadAll(resp.Body); err != nil {
+					t.Fatal(err)
+				}
+				status = resp.StatusCode
+			}
+			if status != c.status {
+				t.Fatalf("status %d, want %d: %s", status, c.status, body)
+			}
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, body); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !bytes.Equal(append(compact.Bytes(), '\n'), body) {
+				t.Fatalf("body is not one line of compact JSON ending in a newline: %q", body)
+			}
+			var m map[string]json.RawMessage
+			if err := json.Unmarshal(body, &m); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			keys := make([]string, 0, len(m))
+			for k := range m {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			if fmt.Sprint(keys) != fmt.Sprint(c.keys) {
+				t.Fatalf("keys %q, want %q", keys, c.keys)
+			}
+		})
 	}
 }
