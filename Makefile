@@ -60,14 +60,14 @@ cover-chipcheck:
 bench-smoke:
 	$(GO) test ./internal/server -run '^$$' -bench 'ThunderingHerd|BatchVsSerial|WarmStartVsCold|QuarantineHit' -benchtime 1x
 
-# Numeric-backbone benchmarks (parallel kernels, batched FDM solves,
-# Monte Carlo fan-out, job-lane throughput) and the service layer's
-# in-process /v1/lifetime, with serial baselines in the same run,
+# Numeric-backbone benchmarks (SpMV/Dot kernels, batched FDM solves,
+# the Monte Carlo kernel, job-lane throughput) and the service layer's
+# in-process /v1/lifetime, with legacy/serial baselines in the same run,
 # appended to the perf trajectory as the next BENCH_<n>.json
 # (cmd/benchjson -next auto-increments past the highest existing index).
 bench-json:
 	$(GO) test ./internal/mathx ./internal/fdm ./internal/rules ./internal/jobs ./internal/chipcheck ./internal/server -run '^$$' \
-		-bench 'SpMVParallel|DotParallel|SolveCGPrecond|FDMSolveBatch|FDMCouplingFactor|MonteCarloParallel|JobThroughput|JobRetryOverhead|Chipcheck|LifetimeSketch|ServerLifetime' \
+		-bench 'SpMV|Dot|SolveCGPrecond|FDMSolveBatch|FDMCouplingFactor|MonteCarloKernel|JobThroughput|JobRetryOverhead|Chipcheck|LifetimeSketch|ServerLifetime' \
 		-benchtime 10x -count=1 | $(GO) run ./cmd/benchjson -next .
 
 verify: build vet test race chaos fuzz-smoke bench-smoke cover-chipcheck

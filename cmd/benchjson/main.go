@@ -1,7 +1,8 @@
 // Command benchjson converts `go test -bench` text output (stdin) into a
 // JSON perf record: one entry per benchmark with ns/op and any custom
-// metrics, plus derived speedup pairs for benchmarks that run a "serial"
-// sub-benchmark next to a "parallel"/"batch" one. The context records the
+// metrics, plus derived speedup pairs for benchmarks that run a baseline
+// sub-benchmark ("serial" or "legacy") next to a fast one ("batch" or
+// "kernel"). The context records the
 // host (goos, goarch, cpu, numcpu), the Go version, and the GOMAXPROCS
 // the benchmarks ran at (their -N name suffix; none means 1).
 //
@@ -33,7 +34,9 @@ type benchmark struct {
 }
 
 type speedup struct {
-	Name     string  `json:"name"`
+	Name string `json:"name"`
+	// SerialNs is the baseline variant's ns/op; both variants of every
+	// pair run on one goroutine.
 	SerialNs float64 `json:"serial_ns_per_op"`
 	FastName string  `json:"fast_variant"`
 	FastNs   float64 `json:"fast_ns_per_op"`
@@ -169,8 +172,14 @@ func splitProcSuffix(name string) (string, string) {
 	return name, "1"
 }
 
-// deriveSpeedups pairs each <parent>/serial result with a sibling fast
-// variant (parallel or batch) and records serial÷fast.
+// speedupPairs are the {baseline, fast} sub-benchmark names a benchmark
+// runs side by side: <parent>/serial next to <parent>/batch, and the
+// preserved <parent>/legacy algorithm next to its <parent>/kernel
+// replacement.
+var speedupPairs = [][2]string{{"serial", "batch"}, {"legacy", "kernel"}}
+
+// deriveSpeedups pairs each baseline result with its fast sibling and
+// records baseline÷fast.
 func deriveSpeedups(bs []benchmark) []speedup {
 	byName := map[string]float64{}
 	for _, b := range bs {
@@ -178,17 +187,16 @@ func deriveSpeedups(bs []benchmark) []speedup {
 	}
 	var out []speedup
 	for _, b := range bs {
-		parent, ok := strings.CutSuffix(b.Name, "/serial")
-		if !ok {
-			continue
-		}
-		for _, variant := range []string{"parallel", "batch"} {
-			fast := parent + "/" + variant
-			if ns, ok := byName[fast]; ok && ns > 0 {
+		for _, pair := range speedupPairs {
+			parent, ok := strings.CutSuffix(b.Name, "/"+pair[0])
+			if !ok {
+				continue
+			}
+			if ns, ok := byName[parent+"/"+pair[1]]; ok && ns > 0 {
 				out = append(out, speedup{
 					Name:     parent,
 					SerialNs: b.NsPerOp,
-					FastName: variant,
+					FastName: pair[1],
 					FastNs:   ns,
 					Speedup:  b.NsPerOp / ns,
 				})

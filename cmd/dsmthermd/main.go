@@ -54,14 +54,12 @@ import (
 	"time"
 
 	"dsmtherm/internal/jobs"
-	"dsmtherm/internal/mathx"
 	"dsmtherm/internal/server"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "solver worker pool size (0 = GOMAXPROCS)")
-	solverWorkers := flag.Int("solver-workers", 0, "worker count inside each numeric solve — parallel SpMV/reductions, batched FDM RHS, MC fan-out (0 = GOMAXPROCS); results are identical at any setting")
 	cache := flag.Int("cache", 4096, "solve/deck cache capacity, entries (negative disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain timeout")
@@ -108,7 +106,6 @@ func main() {
 		return nil
 	})
 	flag.Parse()
-	mathx.SetWorkers(*solverWorkers)
 
 	cfg := server.Config{
 		Workers:          *workers,

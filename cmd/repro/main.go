@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 
 	"dsmtherm/internal/exp"
-	"dsmtherm/internal/mathx"
 )
 
 func main() {
@@ -24,9 +23,7 @@ func main() {
 	run := flag.String("run", "", "run a single experiment by ID")
 	markdown := flag.Bool("markdown", false, "emit markdown sections")
 	svgDir := flag.String("svg", "", "directory to write the figure SVGs into")
-	workers := flag.Int("workers", 0, "numeric worker count for sweeps/FDM/Monte Carlo (0 = GOMAXPROCS); results are identical at any setting")
 	flag.Parse()
-	mathx.SetWorkers(*workers)
 
 	if *list {
 		for _, e := range exp.All() {

@@ -14,7 +14,7 @@
 // root solves) and summary quantiles.
 //
 // Everything downstream of Compile is a pure function of Params:
-// Solve is bit-deterministic at any worker count, and Verdicts over
+// Solve is bit-deterministic, and Verdicts over
 // any tile range depends only on (Params, range) — the property the
 // jobs runner's checkpointed crash-resume relies on.
 package chipcheck
@@ -350,7 +350,8 @@ func (e *NonConvergence) Error() string {
 func (e *NonConvergence) Unwrap() error { return mathx.ErrNumeric }
 
 // Solve runs the coupled IR-drop ↔ thermal-map fixed point. It is
-// deterministic at any mathx worker count; ctx is checked before every
+// bit-deterministic and leaves c unchanged, so one Check may solve on
+// several goroutines at once; ctx is checked before every
 // linear solve. A fixed point that hits the MaxIter cap without
 // reaching TolK returns a *NonConvergence error (errors.As recovers
 // the partially converged field).

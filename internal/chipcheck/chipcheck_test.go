@@ -166,40 +166,49 @@ func TestSolveConvergesOnFixtures(t *testing.T) {
 
 // TestSolveDeterministicAcrossWorkers pins the bit-determinism
 // invariant: the whole pipeline — coupled solve, verdict pass, report —
-// is bit-identical at 1, 2 and 8 mathx workers.
+// is bit-identical when 1, 2 or 8 workers run it concurrently on one
+// compiled Check, so a Check carries no state between runs.
 func TestSolveDeterministicAcrossWorkers(t *testing.T) {
-	defer mathx.SetWorkers(mathx.Workers())
 	type run struct {
 		f *Field
 		v []Verdict
 		r *Result
 	}
-	runs := map[int]run{}
-	for _, w := range []int{1, 2, 8} {
-		mathx.SetWorkers(w)
-		c, f := solveFixture(t, smallFixture())
+	c := mustCompile(t, smallFixture())
+	pipeline := func(ctx context.Context) (run, error) {
+		f, err := c.Solve(ctx)
+		if err != nil {
+			return run{}, err
+		}
 		v, err := c.Verdicts(f, 0, c.NumBranches())
 		if err != nil {
-			t.Fatal(err)
+			return run{}, err
 		}
 		r, err := c.Report(f, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs[w] = run{f, v, r}
+		return run{f, v, r}, err
 	}
-	base := runs[1]
-	for _, w := range []int{2, 8} {
-		got := runs[w]
-		if !reflect.DeepEqual(base.f.DT, got.f.DT) || !reflect.DeepEqual(base.f.Temps, got.f.Temps) ||
-			!reflect.DeepEqual(base.f.Residuals, got.f.Residuals) {
-			t.Fatalf("field differs between workers=1 and workers=%d", w)
-		}
-		if !reflect.DeepEqual(base.v, got.v) {
-			t.Fatalf("verdicts differ between workers=1 and workers=%d", w)
-		}
-		if !reflect.DeepEqual(base.r, got.r) {
-			t.Fatalf("report differs between workers=1 and workers=%d", w)
+	base, err := pipeline(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 8} {
+		err := mathx.ForEach(context.Background(), w, w, func(ctx context.Context, i int) error {
+			got, err := pipeline(ctx)
+			switch {
+			case err != nil:
+				return err
+			case !reflect.DeepEqual(base.f.DT, got.f.DT) || !reflect.DeepEqual(base.f.Temps, got.f.Temps) ||
+				!reflect.DeepEqual(base.f.Residuals, got.f.Residuals):
+				return errors.New("field differs")
+			case !reflect.DeepEqual(base.v, got.v):
+				return errors.New("verdicts differ")
+			case !reflect.DeepEqual(base.r, got.r):
+				return errors.New("report differs")
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
 		}
 	}
 }

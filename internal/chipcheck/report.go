@@ -3,10 +3,8 @@ package chipcheck
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"dsmtherm/internal/em"
-	"dsmtherm/internal/mathx"
 	"dsmtherm/internal/phys"
 )
 
@@ -39,10 +37,10 @@ type Verdict struct {
 }
 
 // Verdicts runs the single-pass EM check over branches [lo, hi) of the
-// solved field. The pass is embarrassingly parallel (indexed writes via
-// mathx.ParFor, bit-deterministic at any worker count) and each
-// verdict depends only on the field and its own branch — so a tile's
-// verdict slice is a pure function of (Params, tile range).
+// solved field. Each verdict depends only on the field and its own
+// branch, so a tile's verdict slice is a pure function of (Params, tile
+// range); callers parallelize over ranges. The error, if any, is the
+// lowest failing branch's.
 func (c *Check) Verdicts(f *Field, lo, hi int) ([]Verdict, error) {
 	nb := c.NumBranches()
 	if lo < 0 || hi < lo || hi > nb {
@@ -52,9 +50,7 @@ func (c *Check) Verdicts(f *Field, lo, hi int) ([]Verdict, error) {
 		return nil, fmt.Errorf("%w: field has %d branches, grid %d", ErrInvalid, len(f.Sol.Branches), nb)
 	}
 	out := make([]Verdict, hi-lo)
-	var errMu sync.Mutex
-	var firstErr error
-	mathx.ParFor(hi-lo, func(k int) {
+	for k := range out {
 		bi := lo + k
 		b := &f.Sol.Branches[bi]
 		level, length, _ := c.Grid.BranchGeometry(b)
@@ -67,35 +63,26 @@ func (c *Check) Verdicts(f *Field, lo, hi int) ([]Verdict, error) {
 		if b.J == 0 {
 			v.Code = CodeIdle
 			out[k] = v
-			return
+			continue
 		}
 		ratio, err := em.LifetimeRatio(c.metal, b.J, b.Tm, c.j0, c.tref)
 		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-			return
+			return nil, err
 		}
 		v.Ratio = ratio
 		if c.hasTransport {
-			if imm, err := em.Immortal(c.metal, c.transport, b.J, length, b.Tm); err == nil && imm {
-				v.Immortal = true
-				v.Code = CodeImmortal
-				out[k] = v
-				return
-			}
+			imm, err := em.Immortal(c.metal, c.transport, b.J, length, b.Tm)
+			v.Immortal = err == nil && imm
 		}
-		if ratio >= 1 {
+		switch {
+		case v.Immortal:
+			v.Code = CodeImmortal
+		case ratio >= 1:
 			v.Code = CodePass
-		} else {
+		default:
 			v.Code = CodeFail
 		}
 		out[k] = v
-	})
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return out, nil
 }

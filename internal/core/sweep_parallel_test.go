@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dsmtherm/internal/geometry"
@@ -26,68 +27,51 @@ func sweepTestProblem(t *testing.T) Problem {
 	}
 }
 
-// TestSweepParallelEqualsSerial: the parallel sweep assembles the exact
-// serial result — same points, same order, bit-identical solutions — at
-// worker counts 1, 2 and 8.
+// TestSweepParallelEqualsSerial: a sweep grid cut into chunks, each
+// chunk swept on its own goroutine (as the sweep job runner's chunks
+// run across job workers), concatenates to exactly the whole serial
+// sweep — same points, same order, bit-identical solutions — at 1, 2
+// and 8 workers, for both sweep axes.
 func TestSweepParallelEqualsSerial(t *testing.T) {
 	p := sweepTestProblem(t)
-	rs := Fig2DutyCycles(25)
-	serial, err := SweepDutyCycle(p, rs)
-	if err != nil {
-		t.Fatal(err)
+	axes := []struct {
+		name  string
+		xs    []float64
+		sweep func(context.Context, Problem, []float64) ([]SweepPoint, error)
+	}{
+		{"duty", Fig2DutyCycles(25), SweepDutyCycleCtx},
+		{"j0", []float64{phys.MAPerCm2(0.6), phys.MAPerCm2(1.2), phys.MAPerCm2(1.8)}, SweepJ0Ctx},
 	}
-	for _, w := range []int{1, 2, 8} {
-		mathx.SetWorkers(w)
-		par, err := SweepDutyCycleParallel(p, rs)
-		mathx.SetWorkers(0)
+	const chunk = 4
+	for _, ax := range axes {
+		serial, err := ax.sweep(context.Background(), p, ax.xs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d points, want %d", w, len(par), len(serial))
-		}
-		for i := range par {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d point %d: %+v != serial %+v", w, i, par[i], serial[i])
+		for _, w := range []int{1, 2, 8} {
+			nChunks := (len(ax.xs) + chunk - 1) / chunk
+			parts := make([][]SweepPoint, nChunks)
+			err := mathx.ForEach(context.Background(), nChunks, w, func(ctx context.Context, c int) error {
+				lo := c * chunk
+				var err error
+				parts[c], err = ax.sweep(ctx, p, ax.xs[lo:min(lo+chunk, len(ax.xs))])
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var par []SweepPoint
+			for _, part := range parts {
+				par = append(par, part...)
+			}
+			if len(par) != len(serial) {
+				t.Fatalf("%s workers=%d: %d points, want %d", ax.name, w, len(par), len(serial))
+			}
+			for i := range par {
+				if par[i] != serial[i] {
+					t.Fatalf("%s workers=%d point %d: %+v != serial %+v", ax.name, w, i, par[i], serial[i])
+				}
 			}
 		}
-	}
-
-	j0s := []float64{phys.MAPerCm2(0.6), phys.MAPerCm2(1.2), phys.MAPerCm2(1.8)}
-	serialJ, err := SweepJ0(p, j0s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mathx.SetWorkers(8)
-	parJ, err := SweepJ0Parallel(p, j0s)
-	mathx.SetWorkers(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range parJ {
-		if parJ[i] != serialJ[i] {
-			t.Fatalf("j0 point %d: %+v != serial %+v", i, parJ[i], serialJ[i])
-		}
-	}
-}
-
-// TestSweepParallelErrorMatchesSerial: with invalid points in the grid,
-// the parallel sweep reports the same (lowest-index) error the serial
-// sweep stops at.
-func TestSweepParallelErrorMatchesSerial(t *testing.T) {
-	p := sweepTestProblem(t)
-	rs := []float64{0.1, -1, 0.5, -2}
-	_, serialErr := SweepDutyCycle(p, rs)
-	if serialErr == nil {
-		t.Fatal("serial sweep must fail on r = -1")
-	}
-	mathx.SetWorkers(8)
-	_, parErr := SweepDutyCycleParallel(p, rs)
-	mathx.SetWorkers(0)
-	if parErr == nil {
-		t.Fatal("parallel sweep must fail on r = -1")
-	}
-	if parErr.Error() != serialErr.Error() {
-		t.Fatalf("parallel error %q != serial error %q", parErr, serialErr)
 	}
 }

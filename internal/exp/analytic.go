@@ -118,7 +118,7 @@ func runFig2() (*Table, error) {
 			"naive j0/r", "derating", "paper penalty x"},
 	}
 	rs := core.Fig2DutyCycles(13)
-	pts, err := core.SweepDutyCycleParallel(Fig2Problem(0.1), rs)
+	pts, err := core.SweepDutyCycle(Fig2Problem(0.1), rs)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func Figures() ([]Figure, error) {
 
 func fig2Figures() ([]Figure, error) {
 	rs := core.Fig2DutyCycles(41)
-	pts, err := core.SweepDutyCycleParallel(Fig2Problem(0.1), rs)
+	pts, err := core.SweepDutyCycle(Fig2Problem(0.1), rs)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func fig3Figures() ([]Figure, error) {
 	for _, j0 := range []float64{0.6, 1.2, 1.8} {
 		p := Fig2Problem(0.1)
 		p.J0 = phys.MAPerCm2(j0)
-		pts, err := core.SweepDutyCycleParallel(p, rs)
+		pts, err := core.SweepDutyCycle(p, rs)
 		if err != nil {
 			return nil, err
 		}

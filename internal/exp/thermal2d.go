@@ -68,41 +68,28 @@ func runFig5() (*Table, error) {
 		Columns: []string{"W[um]", "theta-oxide[K/W]", "theta-HSQ[K/W]", "HSQ/oxide", "phi(oxide)"},
 	}
 	widths := []float64{0.35, 0.6, 1.0, 2.0, 3.3}
-	// Each width is an independent pair of FDM solves; fan them out and
-	// assemble rows in width order.
 	type fig5Point struct {
 		thOx, thHSQ, phi float64
 	}
 	points := make([]fig5Point, len(widths))
-	errs := make([]error, len(widths))
-	mathx.ParFor(len(widths), func(i int) {
-		w := widths[i]
+	for i, w := range widths {
 		thOx, err := Fig5Impedance(w, &material.Oxide)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		thHSQ, err := Fig5Impedance(w, &material.HSQ)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		_, line, err := fig5Geometry(w, &material.Oxide)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		phi, err := thermal.PhiFromImpedance(line, thOx)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		points[i] = fig5Point{thOx: thOx, thHSQ: thHSQ, phi: phi}
-	})
-	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+		thHSQ, err := Fig5Impedance(w, &material.HSQ)
+		if err != nil {
+			return nil, err
+		}
+		_, line, err := fig5Geometry(w, &material.Oxide)
+		if err != nil {
+			return nil, err
+		}
+		phi, err := thermal.PhiFromImpedance(line, thOx)
+		if err != nil {
+			return nil, err
+		}
+		points[i] = fig5Point{thOx: thOx, thHSQ: thHSQ, phi: phi}
 	}
 	var phis []float64
 	var ratioNarrow float64
@@ -282,51 +269,26 @@ func runRulesFDM() (*Table, error) {
 		Columns: []string{"node", "level", "Oxide", "HSQ", "Polyimide",
 			"Tm(ox)[degC]", "Weff-model(ox)"},
 	}
-	// Every (node, level) cell is an independent stack of FDM solves —
-	// the most expensive table in the registry. Fan the cells out across
-	// the worker pool and assemble rows in registry order.
-	type cell struct {
-		base *ntrs.Technology
-		lvl  int
-	}
-	var cells []cell
 	for _, base := range ntrs.Nodes() {
 		for _, lvl := range DesignRuleLevels(base) {
-			cells = append(cells, cell{base: base, lvl: lvl})
-		}
-	}
-	rows := make([][]string, len(cells))
-	errs := make([]error, len(cells))
-	mathx.ParFor(len(cells), func(i int) {
-		base, lvl := cells[i].base, cells[i].lvl
-		row := []string{base.Name, fmt.Sprintf("M%d", lvl)}
-		var tmOx float64
-		for _, d := range material.PaperDielectrics() {
-			sol, err := SolveRuleFDM(base.WithGapFill(d), lvl, 0.1, 1.8)
+			row := []string{base.Name, fmt.Sprintf("M%d", lvl)}
+			var tmOx float64
+			for _, d := range material.PaperDielectrics() {
+				sol, err := SolveRuleFDM(base.WithGapFill(d), lvl, 0.1, 1.8)
+				if err != nil {
+					return nil, fmt.Errorf("%s M%d %s: %w", base.Name, lvl, d.Name, err)
+				}
+				row = append(row, fmt.Sprintf("%.3g", phys.ToMAPerCm2(sol.Jpeak)))
+				if d.Name == "Oxide" {
+					tmOx = phys.KToC(sol.Tm)
+				}
+			}
+			ana, err := SolveRule(base, lvl, 0.1, 1.8)
 			if err != nil {
-				errs[i] = fmt.Errorf("%s M%d %s: %w", base.Name, lvl, d.Name, err)
-				return
+				return nil, err
 			}
-			row = append(row, fmt.Sprintf("%.3g", phys.ToMAPerCm2(sol.Jpeak)))
-			if d.Name == "Oxide" {
-				tmOx = phys.KToC(sol.Tm)
-			}
+			t.AddRow(append(row, fmt.Sprintf("%.0f", tmOx), fmt.Sprintf("%.3g", phys.ToMAPerCm2(ana.Jpeak)))...)
 		}
-		ana, err := SolveRule(base, lvl, 0.1, 1.8)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		row = append(row, fmt.Sprintf("%.0f", tmOx), fmt.Sprintf("%.3g", phys.ToMAPerCm2(ana.Jpeak)))
-		rows[i] = row
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, row := range rows {
-		t.AddRow(row...)
 	}
 	t.Note("the solved impedances exceed the Weff model for thick stacks (spreading saturates logarithmically),")
 	t.Note("so upper levels lose more jpeak and the dielectric sensitivity strengthens — toward the paper's Table 2/3 contrast")

@@ -109,7 +109,7 @@ func (s *SheetSolver) Direct() bool { return s.chol != nil }
 
 // Solve computes the tile temperature rises (K) for the given per-tile
 // powers (W), row-major with stride nx, writing into out (power and out
-// may alias). Deterministic at any worker count.
+// may alias). Deterministic.
 func (s *SheetSolver) Solve(power, out []float64) error {
 	if len(power) != s.n || len(out) != s.n {
 		return fmt.Errorf("%w: got %d powers and %d outputs for %d cells", ErrInvalid, len(power), len(out), s.n)

@@ -15,8 +15,8 @@ import (
 // additionally pays a one-time banded Cholesky factorization, after which
 // every Solve/SolveBatch RHS is two triangular sweeps instead of a CG
 // run; otherwise each Solve is a preconditioned CG run with a fresh
-// right-hand side. SolveBatch runs many independent RHS concurrently over
-// the one shared setup either way.
+// right-hand side. SolveBatch runs many independent RHS over the one
+// shared setup either way, and a Solver is safe for concurrent use.
 type Solver struct {
 	m    *mesh
 	a    *mathx.CSR
@@ -193,16 +193,13 @@ func (s *Solver) Solve(powers map[LineRef]float64) (*Field, error) {
 }
 
 // SolveBatch solves many independent dissipation maps over one shared
-// factorized setup, with the RHS after the first running concurrently
-// across the mathx worker pool. On the direct (banded Cholesky) path
-// each RHS is an independent pair of triangular sweeps over the
-// read-only factor. On the CG fallback the first RHS is solved cold and
-// every further RHS warm-starts from that first solution (the fields of
-// one array are strongly correlated, so the warm start cuts iterations);
-// the warm-start vector depends only on the inputs — never on worker
-// scheduling. Either way a batch returns bit-identical fields at any
-// worker count, including 1. Results assemble in request order; the
-// error (if any) is the first failing index's.
+// factorized setup. On the direct (banded Cholesky) path each RHS is a
+// pair of triangular sweeps over the read-only factor. On the CG
+// fallback the first RHS is solved cold and every further RHS
+// warm-starts from that first solution (the fields of one array are
+// strongly correlated, so the warm start cuts iterations). Results
+// assemble in request order; the error (if any) is the first failing
+// index's.
 func (s *Solver) SolveBatch(batch []map[LineRef]float64) ([]*Field, error) {
 	if len(batch) == 0 {
 		return nil, nil
@@ -217,23 +214,16 @@ func (s *Solver) SolveBatch(batch []map[LineRef]float64) ([]*Field, error) {
 		bs[i] = b
 	}
 	fields := make([]*Field, len(batch))
-	errs := make([]error, len(batch))
-	f0, err := s.solveOne(bs[0], make([]float64, s.n), batch[0])
-	if err != nil {
-		return nil, fmt.Errorf("fdm: batch entry 0: %w", err)
-	}
-	fields[0] = f0
-	if len(batch) > 1 {
-		mathx.ParFor(len(batch)-1, func(k int) {
-			i := k + 1
-			x := append([]float64(nil), f0.dt...)
-			fields[i], errs[i] = s.solveOne(bs[i], x, batch[i])
-		})
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("fdm: batch entry %d: %w", i, err)
-			}
+	for i := range batch {
+		x := make([]float64, s.n)
+		if i > 0 {
+			copy(x, fields[0].dt)
 		}
+		f, err := s.solveOne(bs[i], x, batch[i])
+		if err != nil {
+			return nil, fmt.Errorf("fdm: batch entry %d: %w", i, err)
+		}
+		fields[i] = f
 	}
 	return fields, nil
 }

@@ -148,7 +148,7 @@ func TestMonteCarloJobMatchesDirect(t *testing.T) {
 	spec := rules.Spec{SignalDutyCycle: 0.1, J0: phys.MAPerCm2(1.8), Tref: phys.CToK(100)}
 	direct, err := rules.MonteCarlo(tech, spec, rules.Variation{
 		Width: 0.05, Thick: 0.05, ILD: 0.05, Kd: 0.05,
-		Samples: 70, Seed: 7, Workers: 1,
+		Samples: 70, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"hash/fnv"
 	"log"
 	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -833,11 +834,7 @@ func (m *Manager) superviseChunk(ctx context.Context, j *job, c int) (blob []byt
 		if m.cfg.ChunkDeadline > 0 {
 			actx, cancel = context.WithDeadlineCause(ctx, time.Now().Add(m.cfg.ChunkDeadline), errChunkStuck)
 		}
-		actx = m.metaCtx(actx, j.id, c)
-		err := faultinject.Inject(actx, faultinject.SiteJobsStep)
-		if err == nil {
-			blob, err = j.task.Run(actx, c)
-		}
+		blob, err := m.attempt(m.metaCtx(actx, j.id, c), j, c)
 		stuck := errors.Is(context.Cause(actx), errChunkStuck)
 		if cancel != nil {
 			cancel()
@@ -882,6 +879,23 @@ func (m *Manager) superviseChunk(ctx context.Context, j *job, c int) (blob []byt
 		}
 		return nil, &ChunkFailure{Chunk: c, Attempts: attempt, Error: err.Error()}, nil
 	}
+}
+
+// attempt runs one chunk attempt inside the job lane's panic boundary:
+// a panic in the chunk's work is logged with its stack and becomes a
+// poison error, so the supervisor quarantines the chunk and the process
+// survives.
+func (m *Manager) attempt(ctx context.Context, j *job, c int) (blob []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("jobs: %s chunk %d panicked: %v\n%s", j.id, c, r, debug.Stack())
+			blob, err = nil, resilience.Poison(fmt.Errorf("chunk panic: %v", r))
+		}
+	}()
+	if err := faultinject.Inject(ctx, faultinject.SiteJobsStep); err != nil {
+		return nil, err
+	}
+	return j.task.Run(ctx, c)
 }
 
 // finalize merges the chunks and goes terminal. A job with quarantined

@@ -181,10 +181,6 @@ func newMonteCarloTask(params json.RawMessage) (Task, error) {
 		Width: p.WidthSigma, Thick: p.ThickSigma, ILD: p.ILDSigma, Kd: p.KdSigma,
 		Samples: p.Samples,
 		Seed:    p.Seed,
-		// Chunks are the unit of parallelism and of checkpointing; inside
-		// a chunk the samples run serially so a job occupies exactly one
-		// job-lane worker, never the shared kernel pool.
-		Workers: 1,
 	}
 	// Default Samples/Seed here (mirroring the kernel's own defaults)
 	// rather than per chunk: chunk count and the result document both
@@ -404,9 +400,9 @@ func (t *sweepTask) Run(ctx context.Context, chunk int) ([]byte, error) {
 		err error
 	)
 	if t.axis == sweepAxisDuty {
-		pts, err = core.SweepDutyCycleParallelCtx(ctx, t.prob, t.grid[lo:hi])
+		pts, err = core.SweepDutyCycleCtx(ctx, t.prob, t.grid[lo:hi])
 	} else {
-		pts, err = core.SweepJ0ParallelCtx(ctx, t.prob, t.grid[lo:hi])
+		pts, err = core.SweepJ0Ctx(ctx, t.prob, t.grid[lo:hi])
 	}
 	if err != nil {
 		return nil, err

@@ -154,6 +154,37 @@ func TestPoisonChunkQuarantine(t *testing.T) {
 	}
 }
 
+// TestPanicChunkQuarantine: a panic inside one chunk's work is caught
+// at the job lane's boundary and quarantines that chunk as poison —
+// the process survives, the other chunks complete, and the job ends
+// completed_partial with the panic in its manifest.
+func TestPanicChunkQuarantine(t *testing.T) {
+	cancel := faultinject.Set(faultinject.SiteJobsStep, faultinject.PanicOnMeta(func(meta string) bool {
+		return metaChunk(meta, 1)
+	}, "injected chunk panic"))
+	defer cancel()
+
+	m := newTestManager(t, fastRetry(t.TempDir()))
+	v, err := m.Submit(sweepReq(LaneBulk)) // 3 chunks
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitDone(t, m, v.ID)
+	if fin.Status != StatusCompletedPartial || fin.Done != 2 {
+		t.Fatalf("status = %s (%s), done = %d; want completed_partial with 2 chunks", fin.Status, fin.Error, fin.Done)
+	}
+	if len(fin.Manifest) != 1 {
+		t.Fatalf("manifest = %+v, want one entry", fin.Manifest)
+	}
+	mf := fin.Manifest[0]
+	if mf.Chunk != 1 || mf.Attempts != 1 || !strings.Contains(mf.Error, "chunk panic: injected chunk panic") {
+		t.Fatalf("manifest entry = %+v", mf)
+	}
+	if st := m.Stats(); st.ChunksQuarantined != 1 || st.ChunkRetries != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 // TestNumericChunkQuarantine: an error wrapping mathx.ErrNumeric —
 // even unmarked by resilience — quarantines immediately, because
 // re-running identical inputs recomputes the same pathology.

@@ -5,55 +5,31 @@ import (
 	"testing"
 )
 
-// BenchmarkSpMVParallel measures CSR.MulVec on a 2-D Laplacian large
-// enough to cross the parallel threshold, with the serial (workers=1)
-// baseline run in the same invocation for an honest side-by-side.
-func BenchmarkSpMVParallel(b *testing.B) {
+// BenchmarkSpMV measures CSR.MulVec on a 400×400 2-D Laplacian
+// (160k rows, ~800k nonzeros).
+func BenchmarkSpMV(b *testing.B) {
 	a := laplacian2D(400, 400)
 	x := randVec(rand.New(rand.NewSource(11)), a.N)
 	y := make([]float64, a.N)
-
-	b.Run("serial", func(b *testing.B) {
-		setWorkersForTest(b, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a.MulVec(x, y)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		setWorkersForTest(b, 0) // GOMAXPROCS
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a.MulVec(x, y)
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.MulVec(x, y)
+	}
 }
 
-// BenchmarkDotParallel compares the chunked reduction serial vs parallel.
-func BenchmarkDotParallel(b *testing.B) {
+// BenchmarkDot measures the chunk-bracketed reduction on 1M-element
+// vectors.
+func BenchmarkDot(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(3))
 	x := randVec(rng, n)
 	y := randVec(rng, n)
-
-	b.Run("serial", func(b *testing.B) {
-		setWorkersForTest(b, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Dot(x, y)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		setWorkersForTest(b, 0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Dot(x, y)
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Dot(x, y)
+	}
 }
 
 // BenchmarkSolveCGPrecond compares preconditioners on the same system —

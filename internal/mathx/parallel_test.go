@@ -1,18 +1,14 @@
 package mathx
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 )
-
-// setWorkersForTest pins the worker knob and restores the default on
-// cleanup.
-func setWorkersForTest(t testing.TB, n int) {
-	t.Helper()
-	SetWorkers(n)
-	t.Cleanup(func() { SetWorkers(0) })
-}
 
 // laplacian2D builds the standard SPD 5-point Laplacian on an nx×ny grid
 // with unit spacing and a Dirichlet shift on the first row of cells (the
@@ -67,106 +63,23 @@ func bitEqual(a, b []float64) bool {
 	return true
 }
 
-// TestDotDeterministicAcrossWorkers locks the chunked-reduction contract:
-// the inner product of a large vector pair is bit-identical at worker
-// counts 1, 2 and 8.
-func TestDotDeterministicAcrossWorkers(t *testing.T) {
+// TestDotChunkBracketing pins Dot's summation order bit for bit: a
+// vector spanning several ragged reduceChunk blocks sums each block on
+// its own and adds the block partials in index order.
+func TestDotChunkBracketing(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	n := 3*reduceChunk + 137 // force multiple, ragged chunks
+	n := 3*reduceChunk + 17
 	a, b := randVec(rng, n), randVec(rng, n)
-	var got []float64
-	for _, w := range []int{1, 2, 8} {
-		setWorkersForTest(t, w)
-		got = append(got, Dot(a, b))
-	}
-	for i := 1; i < len(got); i++ {
-		if math.Float64bits(got[i]) != math.Float64bits(got[0]) {
-			t.Fatalf("Dot drifted with worker count: %v", got)
+	want := 0.0
+	for lo := 0; lo < n; lo += reduceChunk {
+		part := 0.0
+		for i := lo; i < min(lo+reduceChunk, n); i++ {
+			part += a[i] * b[i]
 		}
+		want += part
 	}
-	// And the chunked answer matches a plain sum to rounding accuracy.
-	plain := 0.0
-	for i := range a {
-		plain += a[i] * b[i]
-	}
-	if math.Abs(got[0]-plain) > 1e-9*math.Abs(plain)+1e-12 {
-		t.Fatalf("chunked Dot %v far from plain sum %v", got[0], plain)
-	}
-}
-
-// TestMulVecDeterministicAcrossWorkers: parallel SpMV is bit-identical to
-// serial for any worker count, on a matrix large enough to take the
-// parallel path.
-func TestMulVecDeterministicAcrossWorkers(t *testing.T) {
-	a := laplacian2D(300, 60) // 18k rows, ~90k nonzeros
-	rng := rand.New(rand.NewSource(7))
-	x := randVec(rng, a.N)
-	var results [][]float64
-	for _, w := range []int{1, 2, 8} {
-		setWorkersForTest(t, w)
-		y := make([]float64, a.N)
-		a.MulVec(x, y)
-		results = append(results, y)
-	}
-	for i := 1; i < len(results); i++ {
-		if !bitEqual(results[i], results[0]) {
-			t.Fatalf("MulVec drifted between worker counts 1 and %d", []int{1, 2, 8}[i])
-		}
-	}
-	// Cross-check against an independent reference product.
-	ref := make([]float64, a.N)
-	a.mulVecRows(x, ref, 0, a.N)
-	if !bitEqual(ref, results[0]) {
-		t.Fatal("parallel MulVec differs from the sequential kernel")
-	}
-}
-
-// TestAxpyDeterministicAcrossWorkers: elementwise update identical at any
-// worker count.
-func TestAxpyDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := parallelMinWork + 1001
-	x := randVec(rng, n)
-	y0 := randVec(rng, n)
-	var results [][]float64
-	for _, w := range []int{1, 2, 8} {
-		setWorkersForTest(t, w)
-		y := append([]float64(nil), y0...)
-		Axpy(0.37, x, y)
-		results = append(results, y)
-	}
-	for i := 1; i < len(results); i++ {
-		if !bitEqual(results[i], results[0]) {
-			t.Fatal("Axpy drifted with worker count")
-		}
-	}
-}
-
-// TestSolveCGDeterministicAcrossWorkers: a full PCG solve — SpMV, dots,
-// axpys, preconditioner — lands on bit-identical solutions at worker
-// counts 1, 2 and 8, for every preconditioner.
-func TestSolveCGDeterministicAcrossWorkers(t *testing.T) {
-	a := laplacian2D(120, 80)
-	rng := rand.New(rand.NewSource(5))
-	b := randVec(rng, a.N)
-	for _, pc := range []Precond{PrecondJacobi, PrecondSSOR, PrecondIC0} {
-		var sols [][]float64
-		var iters []int
-		for _, w := range []int{1, 2, 8} {
-			setWorkersForTest(t, w)
-			x := make([]float64, a.N)
-			res := SolveCGOpts(a, b, x, CGOptions{Rtol: 1e-10, Precond: pc})
-			if !res.Converged {
-				t.Fatalf("%v: CG did not converge (residual %g)", pc, res.Residual)
-			}
-			sols = append(sols, x)
-			iters = append(iters, res.Iterations)
-		}
-		for i := 1; i < len(sols); i++ {
-			if !bitEqual(sols[i], sols[0]) || iters[i] != iters[0] {
-				t.Fatalf("%v: solve drifted with worker count (iters %v)", pc, iters)
-			}
-		}
+	if got := Dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Dot = %v, want the per-chunk reference %v bit for bit", got, want)
 	}
 }
 
@@ -274,49 +187,9 @@ func TestSolveCGWarmStartConverges(t *testing.T) {
 	}
 }
 
-// TestParFor covers the outer-loop primitive: every index runs exactly
-// once and results assemble in order.
-func TestParFor(t *testing.T) {
-	for _, w := range []int{1, 2, 8} {
-		setWorkersForTest(t, w)
-		n := 1000
-		out := make([]int, n)
-		ParFor(n, func(i int) { out[i] = i * i })
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", w, i, v)
-			}
-		}
-	}
-	// Degenerate sizes.
-	ParFor(0, func(int) { t.Fatal("ParFor(0) must not call fn") })
-	ran := false
-	ParFor(1, func(i int) { ran = true })
-	if !ran {
-		t.Fatal("ParFor(1) must run the single index")
-	}
-}
-
-// TestSetWorkersClamp: negative resets to the GOMAXPROCS default.
-func TestSetWorkersClamp(t *testing.T) {
-	SetWorkers(-5)
-	t.Cleanup(func() { SetWorkers(0) })
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d after negative SetWorkers", Workers())
-	}
-	SetWorkers(3)
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", Workers())
-	}
-}
-
-// TestHotLoopsAllocationFree locks the serial hot paths at zero
-// allocations: with one worker, Dot, Axpy and CSR.MulVec must run
-// entirely on the calling goroutine with no per-call scratch. This is
-// what the BENCH_5 SpMV regression traced back to — scheduling overhead
-// the single-core path should never pay.
+// TestHotLoopsAllocationFree locks the hot kernels at zero allocations:
+// Dot, Axpy and CSR.MulVec need no per-call scratch.
 func TestHotLoopsAllocationFree(t *testing.T) {
-	setWorkersForTest(t, 1)
 	a := laplacian2D(200, 200)
 	rng := rand.New(rand.NewSource(5))
 	x := randVec(rng, a.N)
@@ -329,8 +202,172 @@ func TestHotLoopsAllocationFree(t *testing.T) {
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
-			t.Errorf("%s: %.0f allocs/op with workers=1, want 0", name, allocs)
+			t.Errorf("%s: %.0f allocs/op, want 0", name, allocs)
 		}
 	}
 	_ = sink
+}
+
+// peakTracker records the highest number of tasks running at once.
+type peakTracker struct{ cur, peak atomic.Int64 }
+
+func (p *peakTracker) enter() {
+	c := p.cur.Add(1)
+	for {
+		pk := p.peak.Load()
+		if c <= pk || p.peak.CompareAndSwap(pk, c) {
+			return
+		}
+	}
+}
+
+func (p *peakTracker) leave() { p.cur.Add(-1) }
+
+// TestForEachRunsEveryIndexOnce: every index in [0, n) runs exactly
+// once at any worker count, including n = 1.
+func TestForEachRunsEveryIndexOnce(t *testing.T) {
+	for _, w := range []int{1, 2, 8} {
+		for _, n := range []int{1, 1000} {
+			runs := make([]atomic.Int32, n)
+			err := ForEach(context.Background(), n, w, func(ctx context.Context, i int) error {
+				runs[i].Add(1)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range runs {
+				if c := runs[i].Load(); c != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", w, n, i, c)
+				}
+			}
+		}
+	}
+}
+
+// TestForEachBoundsConcurrency: no more than workers tasks ever run at
+// once.
+func TestForEachBoundsConcurrency(t *testing.T) {
+	const workers = 3
+	var pt peakTracker
+	err := ForEach(context.Background(), 200, workers, func(ctx context.Context, i int) error {
+		pt.enter()
+		defer pt.leave()
+		time.Sleep(50 * time.Microsecond)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pk := pt.peak.Load(); pk > workers {
+		t.Fatalf("observed %d concurrent tasks, bound %d", pk, workers)
+	}
+}
+
+// TestForEachWorkersBelowOneRunsSerially: a worker count below one
+// means serial, not "no workers" — every index still runs, one at a
+// time.
+func TestForEachWorkersBelowOneRunsSerially(t *testing.T) {
+	for _, w := range []int{0, -5} {
+		var pt peakTracker
+		var ran atomic.Int64
+		err := ForEach(context.Background(), 50, w, func(ctx context.Context, i int) error {
+			pt.enter()
+			defer pt.leave()
+			ran.Add(1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran.Load() != 50 || pt.peak.Load() != 1 {
+			t.Fatalf("workers=%d: ran %d of 50 tasks, peak concurrency %d", w, ran.Load(), pt.peak.Load())
+		}
+	}
+}
+
+// TestForEachZeroTasks: n = 0 never calls fn.
+func TestForEachZeroTasks(t *testing.T) {
+	for _, w := range []int{-1, 0, 1, 4} {
+		err := ForEach(context.Background(), 0, w, func(ctx context.Context, i int) error {
+			t.Fatalf("workers=%d: fn called for n = 0", w)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestForEachFirstErrorCancels: the first task error cancels the ctx
+// the other tasks see, stops further indices from being claimed, and is
+// the error returned.
+func TestForEachFirstErrorCancels(t *testing.T) {
+	for _, w := range []int{1, 2, 8} {
+		boom := errors.New("boom")
+		var after atomic.Int64
+		err := ForEach(context.Background(), 1000, w, func(ctx context.Context, i int) error {
+			if i == 3 {
+				return boom
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			after.Add(1)
+			return nil
+		})
+		if err != boom {
+			t.Fatalf("workers=%d: err = %v, want boom itself", w, err)
+		}
+		if n := after.Load(); n > 900 {
+			t.Errorf("workers=%d: error did not stop the loop: %d tasks ran", w, n)
+		}
+	}
+}
+
+// TestForEachErrorNormalization pins the errors.Is contract: when the
+// parent ctx ends, the result matches its error even if a task error
+// holds the cancellation cause, and that task error stays matchable.
+func TestForEachErrorNormalization(t *testing.T) {
+	sentinel := errors.New("task sentinel")
+
+	t.Run("task error only", func(t *testing.T) {
+		err := ForEach(context.Background(), 4, 2, func(ctx context.Context, i int) error { return sentinel })
+		if !errors.Is(err, sentinel) || errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want the sentinel alone", err)
+		}
+	})
+
+	t.Run("parent cancelled first", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		err := ForEach(ctx, 10, 2, func(ctx context.Context, i int) error {
+			t.Error("fn called under a cancelled parent")
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	})
+
+	t.Run("task error then parent cancel", func(t *testing.T) {
+		parent, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		started := make(chan struct{})
+		err := ForEach(parent, 2, 2, func(ctx context.Context, i int) error {
+			if i == 0 {
+				// Fail only once the sibling runs, so it cannot be skipped.
+				<-started
+				return sentinel
+			}
+			close(started)
+			// Cancel the parent only once the sentinel holds the cause.
+			<-ctx.Done()
+			cancel()
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) || !errors.Is(err, sentinel) {
+			t.Fatalf("err = %v, want both context.Canceled and the sentinel", err)
+		}
+	})
 }

@@ -105,6 +105,49 @@ func (m *CSR) Slot(i, j int) int {
 	return -1
 }
 
+// MulVec computes y = M·x.
+func (m *CSR) MulVec(x, y []float64) {
+	if len(x) != m.N || len(y) != m.N {
+		panic("mathx: CSR.MulVec dimension mismatch")
+	}
+	for i := 0; i < m.N; i++ {
+		s := 0.0
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			s += m.Val[k] * x[m.ColIdx[k]]
+		}
+		y[i] = s
+	}
+}
+
+// reduceChunk is Dot's fixed summation block. Vectors up to this length
+// sum as a plain sequential loop (so the scalar solvers' tiny vectors
+// are bit-for-bit a naive sum); longer ones sum each block separately
+// and add the block partials in order. The bracketing depends only on
+// the length, so every Dot result is reproducible.
+const reduceChunk = 4096
+
+// Dot returns the inner product of two equal-length vectors, bracketed
+// in reduceChunk blocks.
+func Dot(a, b []float64) float64 {
+	s := 0.0
+	for lo := 0; lo < len(a); lo += reduceChunk {
+		hi := min(lo+reduceChunk, len(a))
+		cs := 0.0
+		for i := lo; i < hi; i++ {
+			cs += a[i] * b[i]
+		}
+		s += cs
+	}
+	return s
+}
+
+// Axpy computes y += alpha·x in place.
+func Axpy(alpha float64, x, y []float64) {
+	for i, v := range x {
+		y[i] += alpha * v
+	}
+}
+
 // CGResult reports the outcome of a conjugate-gradient solve.
 type CGResult struct {
 	Iterations int

@@ -9,8 +9,17 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dsmtherm/internal/mathx"
 	"dsmtherm/internal/waveform"
 )
+
+// forEachRunner is a ForEachFunc over mathx.ForEach with a fixed
+// worker count — the scheduler CheckConcurrent builds.
+func forEachRunner(workers int) ForEachFunc {
+	return func(ctx context.Context, n int, fn func(context.Context, int) error) error {
+		return mathx.ForEach(ctx, n, workers, fn)
+	}
+}
 
 // mixedDesign builds a design spanning levels, margins and verdicts: some
 // passing, some marginal, some failing, some idle — enough structure that
@@ -98,7 +107,7 @@ func TestCheckWithMatchesSerial(t *testing.T) {
 			wg.Wait()
 			return errors.Join(errs...)
 		},
-		"bounded3": boundedRunner(3),
+		"bounded3": forEachRunner(3),
 	}
 	for name, run := range runners {
 		rep, err := CheckWith(context.Background(), cfg, segs, run)
@@ -146,7 +155,7 @@ func TestCheckWithErrorMatchesSerial(t *testing.T) {
 	if serialErr == nil {
 		t.Fatal("expected serial error")
 	}
-	_, withErr := CheckWith(context.Background(), cfg, segs, boundedRunner(4))
+	_, withErr := CheckWith(context.Background(), cfg, segs, forEachRunner(4))
 	if withErr == nil {
 		t.Fatal("expected CheckWith error")
 	}
@@ -159,7 +168,7 @@ func TestCheckWithCancellation(t *testing.T) {
 	cfg, segs := mixedDesign(t, 40)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CheckWith(ctx, cfg, segs, boundedRunner(4)); !errors.Is(err, context.Canceled) {
+	if _, err := CheckWith(ctx, cfg, segs, forEachRunner(4)); !errors.Is(err, context.Canceled) {
 		t.Errorf("want context.Canceled, got %v", err)
 	}
 }

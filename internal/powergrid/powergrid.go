@@ -290,8 +290,7 @@ func (g *Grid) branchTemperature(b *Branch, j, tref float64) (float64, error) {
 // external electrothermal loop — the grid's own Solve, or a chip-level
 // coupled checker driving branch temperatures from a shared thermal
 // map — pay near-incremental cost per temperature update. Solve results
-// are deterministic (the CG kernels are bit-identical at any worker
-// count) but a Nodal is not safe for concurrent use.
+// are deterministic, but a Nodal is not safe for concurrent use.
 type Nodal struct {
 	g        *Grid
 	branches []Branch

@@ -117,19 +117,13 @@ func TestMCKernelMatchesNaive(t *testing.T) {
 }
 
 // TestMCKernelErrorNamesSample: an unsolvable sample surfaces
-// ErrNoSolution through MonteCarloRows regardless of worker count.
+// ErrNoSolution through MonteCarloRows.
 func TestMCKernelErrorNamesSample(t *testing.T) {
 	spec := Spec{J0: 1e19} // EM budget can never be exhausted
-	for _, w := range []int{1, 4} {
-		v := defaultVariation()
-		v.Workers = w
-		_, err := MonteCarloRows(ntrs.N250(), spec, v, 0, v.Samples)
-		if err == nil {
-			t.Fatalf("workers=%d: want error", w)
-		}
-		if !errors.Is(err, core.ErrNoSolution) {
-			t.Fatalf("workers=%d: got %v, want ErrNoSolution", w, err)
-		}
+	v := defaultVariation()
+	_, err := MonteCarloRows(ntrs.N250(), spec, v, 0, v.Samples)
+	if !errors.Is(err, core.ErrNoSolution) {
+		t.Fatalf("got %v, want ErrNoSolution", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"dsmtherm/internal/core"
 	"dsmtherm/internal/geometry"
@@ -19,8 +18,8 @@ import (
 // variations yields the percentile limit a robust deck should publish —
 // the statistical companion to the paper's deterministic Tables 2–4.
 //
-// The sampling engine is built around per-worker batch kernels (mcKernel):
-// each worker owns one technology clone restamped in place per sample, one
+// The sampling engine is built around a batch kernel (mcKernel) that
+// owns one technology clone restamped in place per sample, one
 // RNG reseeded per sample from the absolute sample index, and one reusable
 // warm-started solver — so steady-state evaluation allocates nothing. The
 // aggregation side switches from exact sorting to mergeable quantile
@@ -36,12 +35,9 @@ type Variation struct {
 	Samples int
 	// Seed makes runs reproducible (default 1). Each sample derives its
 	// own RNG substream from (Seed, sample index), so the percentiles
-	// depend only on Seed and Samples — never on how many workers
-	// evaluated them.
+	// depend only on Seed and Samples — never on how the sample range
+	// was partitioned.
 	Seed int64
-	// Workers bounds the sample fan-out (0 = the mathx worker knob,
-	// which defaults to GOMAXPROCS; 1 forces serial evaluation).
-	Workers int
 }
 
 func (v *Variation) defaults() error {
@@ -89,10 +85,9 @@ const (
 )
 
 // MonteCarlo samples the signal-line rule across process variation for
-// every DesignRuleLevels level of the technology. Samples evaluate
-// concurrently across a bounded worker pool (Variation.Workers); each
-// sample draws from its own seeded RNG substream, so a given Seed
-// produces identical percentiles at any worker count.
+// every DesignRuleLevels level of the technology. Each sample draws
+// from its own seeded RNG substream, so a given Seed produces identical
+// percentiles however the sample range is split.
 //
 // MonteCarlo is MonteCarloRows(0, Samples) + MonteCarloFromRows; the
 // split pair is the resumable API (checkpointed jobs compute row ranges
@@ -108,7 +103,7 @@ func MonteCarlo(tech *ntrs.Technology, spec Spec, v Variation) ([]MCLevelResult,
 	return MonteCarloFromRows(tech, spec, v, jp)
 }
 
-// mcKernel is the per-worker Monte Carlo batch kernel. It owns one
+// mcKernel is the Monte Carlo batch kernel of one sample range. It owns one
 // deep-copied technology whose layers and dielectrics are restamped in
 // place from the immutable base for every sample, prebuilt per-level
 // lines whose stacks alias the clone's dielectrics, one RNG reseeded per
@@ -139,7 +134,7 @@ type mcKernel struct {
 	solver *core.CoeffSolver
 }
 
-// newMCKernel builds a kernel for one worker. All inputs must already be
+// newMCKernel builds a kernel for one sample range. All inputs must already be
 // validated/defaulted; hints come from nominalSolutions.
 func newMCKernel(base *ntrs.Technology, spec Spec, v Variation, levels []int, hints []float64) (*mcKernel, error) {
 	k := &mcKernel{
@@ -240,14 +235,14 @@ func nominalSolutions(tech *ntrs.Technology, spec Spec, levels []int) ([]core.So
 // DesignRuleLevels[k]). Row s is a pure function of (tech, spec,
 // Variation.Seed, s) — each sample derives its own RNG substream from
 // the absolute sample index — so any partition of [0, Samples) into
-// ranges, evaluated in any order, on any worker count, across any
-// number of process restarts, reassembles into the exact matrix a
+// ranges, evaluated in any order, on any number of goroutines, across
+// any number of process restarts, reassembles into the exact matrix a
 // single uninterrupted call produces. This is the chunk kernel of the
-// resumable Monte Carlo job runner.
+// resumable Monte Carlo job runner; ranges are the unit of parallelism.
 //
-// Each worker runs one mcKernel over a static contiguous sub-range; all
-// rows share one backing arena, so the fan-out performs two allocations
-// regardless of sample count and the kernels none at all.
+// One mcKernel runs the range serially and all rows share one backing
+// arena, so a call performs two row allocations regardless of sample
+// count and the kernel none at all.
 func MonteCarloRows(tech *ntrs.Technology, spec Spec, v Variation, lo, hi int) ([][]float64, error) {
 	if err := v.defaults(); err != nil {
 		return nil, err
@@ -279,49 +274,14 @@ func MonteCarloRows(tech *ntrs.Technology, spec Spec, v Variation, lo, hi int) (
 	for k := range noms {
 		hints[k] = noms[k].Tm
 	}
-	workers := v.Workers
-	if workers <= 0 {
-		workers = mathx.Workers()
+	k, err := newMCKernel(tech, spec, v, levels, hints)
+	if err != nil {
+		return nil, err
 	}
-	if workers > n {
-		workers = n
-	}
-	// Each worker records its first failure and the sample it failed at;
-	// the lowest failing sample's error is surfaced, which is exactly the
-	// error a serial scan would hit first — independent of worker count.
-	errs := make([]error, workers)
-	at := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wlo, whi := lo+w*n/workers, lo+(w+1)*n/workers
-		if wlo == whi {
-			continue
+	for s := lo; s < hi; s++ {
+		if err := k.sample(s, jp[s-lo]); err != nil {
+			return nil, err
 		}
-		wg.Add(1)
-		go func(w, wlo, whi int) {
-			defer wg.Done()
-			k, err := newMCKernel(tech, spec, v, levels, hints)
-			if err != nil {
-				errs[w], at[w] = err, wlo
-				return
-			}
-			for s := wlo; s < whi; s++ {
-				if err := k.sample(s, jp[s-lo]); err != nil {
-					errs[w], at[w] = err, s
-					return
-				}
-			}
-		}(w, wlo, whi)
-	}
-	wg.Wait()
-	fail := -1
-	for w := range errs {
-		if errs[w] != nil && (fail < 0 || at[w] < at[fail]) {
-			fail = w
-		}
-	}
-	if fail >= 0 {
-		return nil, errs[fail]
 	}
 	return jp, nil
 }
@@ -412,8 +372,8 @@ func solveSignal(tech *ntrs.Technology, level int, spec Spec) (core.Solution, er
 // sampleSeed derives the RNG substream seed for one Monte Carlo sample by
 // splitmix64-mixing the user seed with the sample index (mathx.SeedMix).
 // Each sample's draws are a pure function of (Seed, s), which is what
-// makes the fan-out order-independent: serial and parallel evaluation
-// consume identical streams.
+// makes any partition of the sample range order-independent: serial and
+// parallel evaluation of ranges consume identical streams.
 func sampleSeed(seed int64, s int) int64 {
 	return mathx.SeedMix(seed, s)
 }

@@ -1,9 +1,11 @@
 package rules
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"dsmtherm/internal/mathx"
 	"dsmtherm/internal/ntrs"
 )
 
@@ -60,26 +62,40 @@ func TestMonteCarloReproducible(t *testing.T) {
 }
 
 // TestMonteCarloParallelEqualsSerial locks the substream contract: the
-// same seed yields bit-identical percentiles whether samples run on one
-// worker or many.
+// sample range cut into chunks, each chunk evaluated on its own
+// goroutine at 1, 2 and 8 workers, reassembles into bit-identical
+// percentiles to one serial MonteCarlo call.
 func TestMonteCarloParallelEqualsSerial(t *testing.T) {
-	runs := make([][]MCLevelResult, 0, 3)
+	v := defaultVariation()
+	serial, err := MonteCarlo(ntrs.N250(), Spec{}, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 32
+	nChunks := (v.Samples + chunk - 1) / chunk
 	for _, w := range []int{1, 2, 8} {
-		v := defaultVariation()
-		v.Workers = w
-		res, err := MonteCarlo(ntrs.N250(), Spec{}, v)
+		parts := make([][][]float64, nChunks)
+		err := mathx.ForEach(context.Background(), nChunks, w, func(ctx context.Context, c int) error {
+			var err error
+			parts[c], err = MonteCarloRows(ntrs.N250(), Spec{}, v, c*chunk, min((c+1)*chunk, v.Samples))
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs = append(runs, res)
-	}
-	for r := 1; r < len(runs); r++ {
-		for i := range runs[r] {
-			a, b := runs[0][i], runs[r][i]
+		var jp [][]float64
+		for _, p := range parts {
+			jp = append(jp, p...)
+		}
+		res, err := MonteCarloFromRows(ntrs.N250(), Spec{}, v, jp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res {
+			a, b := serial[i], res[i]
 			if a.P1 != b.P1 || a.P50 != b.P50 || a.P99 != b.P99 ||
 				a.Nominal != b.Nominal || a.GuardBand != b.GuardBand {
-				t.Fatalf("M%d: workers=%d result %+v differs from serial %+v",
-					a.Level, []int{1, 2, 8}[r], b, a)
+				t.Fatalf("M%d: workers=%d result %+v differs from serial %+v", a.Level, w, b, a)
 			}
 		}
 	}

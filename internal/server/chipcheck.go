@@ -9,11 +9,10 @@ import (
 
 // handleChipcheck is the synchronous full-chip coupled EM + IR-drop +
 // thermal signoff path, sized for sub-second grids (the node count is
-// capped by Config.MaxChipNodes). The coupled solve runs inside one
-// pool slot — it is one logical solver task, and its inner kernels
-// already parallelize through mathx workers — so chip checks count
-// against the same global concurrency bound as every other solver
-// route. Grids past the cap belong on the bulk job lane ("chipcheck"
+// capped by Config.MaxChipNodes). The coupled solve and the verdict
+// pass run serially inside one pool slot — one logical solver task —
+// so chip checks count against the same global concurrency bound as
+// every other solver route and spawn no goroutines of their own. Grids past the cap belong on the bulk job lane ("chipcheck"
 // job type), which also streams per-segment verdicts without the
 // synchronous response-size cap.
 func (s *Server) handleChipcheck(w http.ResponseWriter, r *http.Request) {

@@ -2,10 +2,9 @@ package server
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
 	"sync/atomic"
+
+	"dsmtherm/internal/mathx"
 )
 
 // Pool is a counting-semaphore worker pool shared by all requests: it
@@ -34,12 +33,16 @@ func (p *Pool) Size() int { return cap(p.sem) }
 // point-in-time gauge for /metrics and tests.
 func (p *Pool) InUse() int { return len(p.sem) }
 
-// ForEach runs fn(0..n-1) across the pool, blocking until every started
-// task finishes. The first task error cancels the derived context,
-// stops new tasks from being scheduled, and is returned; if the caller's
-// ctx is cancelled first, unscheduled indices are abandoned and the
-// cancellation error is returned. Tasks observe cancellation through the
-// ctx they receive.
+// ForEach runs fn(0..n-1) across the pool through mathx.ForEach,
+// blocking until every started task finishes. At most Size() goroutines
+// start, and each takes one pool slot per task, so admission and the
+// global bound are per task while goroutines are reused across tasks.
+// A task whose ctx ends while it waits for a slot returns without
+// running. The first task error cancels the derived context, stops new
+// tasks from being scheduled, and is returned; if the caller's ctx is
+// cancelled first, unscheduled indices are abandoned and the
+// cancellation error is returned. Tasks observe cancellation through
+// the ctx they receive.
 //
 // The returned error is normalized so callers can classify it with
 // errors.Is alone: when the caller's ctx ended, the result always
@@ -48,46 +51,18 @@ func (p *Pool) InUse() int { return len(p.sem) }
 // and the cause, task sentinels included, stays matchable through the
 // same error.
 func (p *Pool) ForEach(parent context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	ctx, cancel := context.WithCancelCause(parent)
-	defer cancel(nil)
-
-	var wg sync.WaitGroup
-loop:
-	for i := 0; i < n; i++ {
+	return mathx.ForEach(parent, n, p.Size(), func(ctx context.Context, i int) (err error) {
 		select {
 		case p.sem <- struct{}{}:
 		case <-ctx.Done():
-			break loop
+			return nil
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-p.sem }()
-			// Recovery boundary: a panicking task becomes this ForEach's
-			// error instead of crashing the process. The deferred slot
-			// release above still runs, so a panic can never leak pool
-			// capacity.
-			err := func() (err error) {
-				defer recoverTo(&err, "pool.task", p.panics)
-				return fn(ctx, i)
-			}()
-			if err != nil {
-				cancel(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	if ctx.Err() == nil {
-		return nil
-	}
-	cause := context.Cause(ctx)
-	if perr := parent.Err(); perr != nil && !errors.Is(cause, perr) {
-		// The parent context ended while a task error (or a custom
-		// cancellation cause) held the cause slot. Surface both: the
-		// wrapped pair satisfies errors.Is for the context error AND
-		// for whatever sentinel the cause wraps.
-		return fmt.Errorf("%w: %w", perr, cause)
-	}
-	return cause
+		defer func() { <-p.sem }()
+		// Recovery boundary: a panicking task becomes this ForEach's
+		// error instead of crashing the process. The deferred slot
+		// release above still runs, so a panic can never leak pool
+		// capacity.
+		defer recoverTo(&err, "pool.task", p.panics)
+		return fn(ctx, i)
+	})
 }

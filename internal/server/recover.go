@@ -19,10 +19,12 @@ import (
 //  1. flightGroup.Do wraps the leader's compute (recoverTo), so a
 //     panicking solve settles its flight with a *panicError instead of
 //     leaving waiters blocked on a flight that will never close;
-//  2. Pool.ForEach wraps every task goroutine, so a panic anywhere in
-//     pool-run work (netcheck segments, sweep points) becomes the
-//     ForEach error instead of crashing the process — the deferred
-//     slot release still runs;
+//  2. Pool.ForEach wraps every task, so a panic anywhere in pool-run
+//     work (netcheck segments, sweep points, lifetime sample ranges, the
+//     serial chipcheck solve and verdict pass) becomes the ForEach error
+//     instead of crashing the process — the deferred slot release still
+//     runs. The job lane has its own boundary around each chunk attempt
+//     (jobs.Manager), which quarantines a panicking chunk as poison;
 //  3. the route middleware is the backstop for panics in handler code
 //     outside the pool (decode, response marshaling): it writes a
 //     best-effort structured 500 and keeps the connection's worker

@@ -19,11 +19,10 @@ var numericPackages = []string{
 	"mathx", "fdm", "powergrid", "chipcheck", "lifetime", "em", "core", "rules", "netcheck",
 }
 
-// TestNoPacingInNumericKernels fails on any time.Sleep or
-// runtime.Gosched call in the non-test sources of the numeric packages,
-// naming the file and line.
-func TestNoPacingInNumericKernels(t *testing.T) {
-	banned := map[string]string{"time": "Sleep", "runtime": "Gosched"}
+// walkNumericSources parses every non-test source of the numeric
+// packages and hands each file to visit.
+func walkNumericSources(t *testing.T, visit func(fset *token.FileSet, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	for _, pkg := range numericPackages {
 		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
@@ -42,34 +41,63 @@ func TestNoPacingInNumericKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Local import name → banned function of that package.
-			local := map[string]string{}
-			for _, imp := range f.Imports {
-				p, _ := strconv.Unquote(imp.Path.Value)
-				fn, ok := banned[p]
-				if !ok {
-					continue
-				}
-				name := p
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				local[name] = fn
+			visit(fset, f)
+		}
+	}
+}
+
+// TestNoPacingInNumericKernels fails on any time.Sleep or
+// runtime.Gosched call in the non-test sources of the numeric packages,
+// naming the file and line.
+func TestNoPacingInNumericKernels(t *testing.T) {
+	banned := map[string]string{"time": "Sleep", "runtime": "Gosched"}
+	walkNumericSources(t, func(fset *token.FileSet, f *ast.File) {
+		// Local import name → banned function of that package.
+		local := map[string]string{}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			fn, ok := banned[p]
+			if !ok {
+				continue
 			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if x, ok := sel.X.(*ast.Ident); ok && local[x.Name] == sel.Sel.Name {
-					t.Errorf("%s: %s.%s in a numeric kernel package", fset.Position(call.Pos()), x.Name, sel.Sel.Name)
+			name := p
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			local[name] = fn
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && local[x.Name] == sel.Sel.Name {
+				t.Errorf("%s: %s.%s in a numeric kernel package", fset.Position(call.Pos()), x.Name, sel.Sel.Name)
+			}
+			return true
+		})
+	})
+}
+
+// TestNoGoroutinesOutsideForEach keeps one concurrency governor: the
+// only go statement in the numeric packages' non-test sources is the
+// fan-out inside mathx.ForEach. Engines run serially and callers
+// parallelize over their range APIs through ForEach or the server pool.
+func TestNoGoroutinesOutsideForEach(t *testing.T) {
+	walkNumericSources(t, func(fset *token.FileSet, f *ast.File) {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			allowed := ok && f.Name.Name == "mathx" && fd.Recv == nil && fd.Name.Name == "ForEach"
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok && !allowed {
+					t.Errorf("%s: go statement outside mathx.ForEach", fset.Position(g.Pos()))
 				}
 				return true
 			})
 		}
-	}
+	})
 }
