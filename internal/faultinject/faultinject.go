@@ -73,11 +73,11 @@ const (
 	// simulates a write failure (ENOSPC, dead disk): the manager
 	// degrades checkpointing to in-memory and re-probes periodically.
 	SiteJobsJournalWrite = "jobs.journal.write"
-	// SiteMathxSolve fires at the top of a numeric solve's primary path
-	// (the banded-Cholesky direct solve in fdm, the IC(0) CG in
-	// powergrid). An error hook makes the primary path report failure so
-	// tests can walk the fallback ladder (direct → IC(0) CG → Jacobi CG)
-	// on systems that would otherwise solve cleanly.
+	// SiteMathxSolve fires at the top of every mathx.Ladder solve. An
+	// error hook skips the ladder's first rung (the banded-Cholesky
+	// direct solve when present, IC(0) CG otherwise) so tests can walk
+	// the fallback ladder (direct → IC(0) CG → Jacobi CG) on systems
+	// that would otherwise solve cleanly.
 	SiteMathxSolve = "mathx.solve.numeric"
 )
 

@@ -1,22 +1,17 @@
 package fdm
 
-import (
-	"testing"
+import "testing"
 
-	"dsmtherm/internal/mathx"
-)
-
-// BenchmarkFDMSolveBatch pits the batched multi-RHS path (shared setup,
-// IC(0) preconditioner, warm starts) against the pre-batch baseline —
-// one cold Jacobi-preconditioned Solve per powers map — on the same
-// 3×3 array. Both run in the same invocation so BENCH_*.json records
-// the speedup pair side by side.
+// BenchmarkFDMSolveBatch pits SolveBatch against one Solve per powers
+// map, both on the same NewSolver setup (the banded Cholesky factor),
+// for the 3×3 array. Both run in the same invocation so BENCH_*.json
+// records the pair side by side.
 func BenchmarkFDMSolveBatch(b *testing.B) {
 	ar := batchTestArray(b)
 	res := DefaultResolution(ar)
 
 	b.Run("serial", func(b *testing.B) {
-		s, err := NewSolverPrecond(ar, res, mathx.PrecondJacobi)
+		s, err := NewSolver(ar, res)
 		if err != nil {
 			b.Fatal(err)
 		}

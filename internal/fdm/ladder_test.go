@@ -3,10 +3,12 @@ package fdm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"dsmtherm/internal/faultinject"
+	"dsmtherm/internal/material"
 	"dsmtherm/internal/mathx"
 	"dsmtherm/internal/phys"
 )
@@ -111,28 +113,65 @@ func TestSheetSolveAliasedArgs(t *testing.T) {
 	}
 }
 
-// TestLadderExhaustionIsStructured: when every rung fails, the caller
-// gets mathx.ErrNumeric with a diagnosis, not a bare string — driven
-// directly on a ladder fed an unsolvable (singular) system.
-func TestLadderExhaustionIsStructured(t *testing.T) {
-	n := 8
-	co := mathx.NewCoord(n)
-	for i := 0; i < n; i++ {
-		co.Add(i, i, 0)
+// TestTransientLadderFallbackMatchesDirect: every backward-Euler step
+// runs through the solve ladder, so an injected primary-path failure
+// walks each step down to the CG rungs with the direct answer, and a
+// singular step system fails with a structured mathx.ErrNumeric.
+func TestTransientLadderFallbackMatchesDirect(t *testing.T) {
+	ar, err := SingleLineArray(&material.AlCu,
+		phys.Microns(3), phys.Microns(0.6), phys.Microns(1.0),
+		&material.Oxide, &material.Oxide, phys.Microns(6), phys.Microns(1.5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := co.ToCSR()
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
+	s, err := NewSolver(ar, phys.Microns(0.3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	x := make([]float64, n)
+	ref := LineRef{Level: 1, Index: 0}
+	powers := map[LineRef]float64{ref: 10}
+	direct, err := s.SolvePulse(powers, 1e-6, 3e-6, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	before := mathx.NumericStats()
-	err := solveLadder("singular test", a, nil, nil, b, x, 1e-12, 2000)
-	if !errors.Is(err, mathx.ErrNumeric) {
-		t.Fatalf("err = %v, want ErrNumeric", err)
+	cancel := faultinject.Set(faultinject.SiteMathxSolve, func(context.Context) error {
+		return errors.New("injected primary-path failure")
+	})
+	defer cancel()
+	ladder, err := s.SolvePulse(powers, 1e-6, 3e-6, 30)
+	if err != nil {
+		t.Fatalf("ladder pulse: %v", err)
 	}
-	after := mathx.NumericStats()
-	if after.NumericFailures <= before.NumericFailures {
-		t.Fatalf("NumericFailures %d -> %d, want increase", before.NumericFailures, after.NumericFailures)
+	if after := mathx.NumericStats(); after.FallbackSolves <= before.FallbackSolves {
+		t.Fatalf("FallbackSolves %d -> %d, want increase", before.FallbackSolves, after.FallbackSolves)
+	}
+	agree := func(what string, d, l float64) {
+		t.Helper()
+		if math.Abs(d-l) > 1e-6*math.Abs(d) {
+			t.Fatalf("%s: direct %g, ladder %g", what, d, l)
+		}
+	}
+	for k, d := range direct.LineDT[ref] {
+		agree(fmt.Sprintf("line ΔT at step %d", k), d, ladder.LineDT[ref][k])
+	}
+	for i, d := range direct.Final.dt {
+		agree(fmt.Sprintf("final cell %d", i), d, ladder.Final.dt[i])
+	}
+
+	// A zero conduction matrix and zero heat capacity make every step
+	// singular: no rung can solve it.
+	cancel()
+	singular, err := NewSolver(ar, phys.Microns(0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(singular.a.Val)
+	for _, row := range singular.m.rhoc {
+		clear(row)
+	}
+	if _, err := singular.SolvePulse(powers, 1e-6, 3e-6, 30); !errors.Is(err, mathx.ErrNumeric) {
+		t.Fatalf("singular pulse: err = %v, want ErrNumeric", err)
 	}
 }

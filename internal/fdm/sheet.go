@@ -1,6 +1,7 @@
 package fdm
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -13,16 +14,14 @@ import (
 // thickness) and vertically to the package at ΔT = 0 through a per-area
 // film conductance (sinkCond, W/(m²·K)). It is the thermal-map half of
 // the chip-level electrothermal loop: the conduction matrix is
-// temperature-independent, so it is assembled and factored once (banded
-// Cholesky under the same entry budget as the cross-section Solver,
-// preconditioned CG otherwise) and every Joule-power distribution costs
-// two O(n·bw) triangular sweeps — the iteration-loop reuse the coupled
-// fixed point leans on.
+// temperature-independent, so it is assembled and factored once (the
+// same mathx.Ladder as the cross-section Solver: banded Cholesky under
+// its entry budget, preconditioned CG otherwise) and every Joule-power
+// distribution costs two O(n·bw) triangular sweeps — the iteration-loop
+// reuse the coupled fixed point leans on.
 type SheetSolver struct {
 	nx, ny int
-	a      *mathx.CSR
-	chol   *mathx.BandCholesky // non-nil: direct path
-	prec   mathx.Preconditioner
+	ladder *mathx.Ladder
 	n      int
 }
 
@@ -87,25 +86,14 @@ func NewSheetSolver(nx, ny int, dx, dy, sheetCond, sinkCond float64) (*SheetSolv
 		}
 	}
 	a.ColIdx, a.Val = cols, vals
-	s := &SheetSolver{nx: nx, ny: ny, a: a, n: n}
-	if c, err := mathx.NewBandCholesky(s.a, cholEntryBudget/n); err == nil {
-		s.chol = c
-		return s, nil
-	}
-	var err error
-	for _, try := range []mathx.Precond{mathx.PrecondIC0, mathx.PrecondSSOR, mathx.PrecondJacobi} {
-		if s.prec, err = mathx.NewPreconditioner(s.a, try); err == nil {
-			return s, nil
-		}
-	}
-	return nil, err
+	return &SheetSolver{nx: nx, ny: ny, ladder: mathx.NewLadder("sheet conduction", a, true, 1e-12, 0), n: n}, nil
 }
 
 // Cells returns the unknown count nx·ny.
 func (s *SheetSolver) Cells() int { return s.n }
 
 // Direct reports whether the banded Cholesky fast path is active.
-func (s *SheetSolver) Direct() bool { return s.chol != nil }
+func (s *SheetSolver) Direct() bool { return s.ladder.Direct() }
 
 // Solve computes the tile temperature rises (K) for the given per-tile
 // powers (W), row-major with stride nx, writing into out (power and out
@@ -114,7 +102,7 @@ func (s *SheetSolver) Solve(power, out []float64) error {
 	if len(power) != s.n || len(out) != s.n {
 		return fmt.Errorf("%w: got %d powers and %d outputs for %d cells", ErrInvalid, len(power), len(out), s.n)
 	}
-	if err := solveLadder("sheet conduction", s.a, s.chol, s.prec, power, out, 1e-12, 0); err != nil {
+	if err := s.ladder.Solve(context.TODO(), power, out, nil); err != nil {
 		return fmt.Errorf("fdm: %w", err)
 	}
 	return nil

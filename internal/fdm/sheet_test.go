@@ -107,3 +107,50 @@ func TestSheetSolverLengthMismatch(t *testing.T) {
 		t.Fatalf("long out: err = %v, want ErrInvalid", err)
 	}
 }
+
+// TestSheetSolverManufacturedConvergence is a manufactured-solution
+// oracle for the sheet stencil: ΔT = cos(πx/Lx)·cos(πy/Ly) meets the
+// zero-flux edges, and the source that makes it exact in the continuum
+// is q = (sheetCond·π²(1/Lx²+1/Ly²) + sinkCond)·ΔT per unit area. The
+// tile-centre error must fall as h² over three refinements.
+func TestSheetSolverManufacturedConvergence(t *testing.T) {
+	const (
+		lx, ly    = 2e-3, 1.5e-3
+		sheetCond = 0.05
+		sinkCond  = 1e4
+	)
+	exact := func(x, y float64) float64 { return math.Cos(math.Pi*x/lx) * math.Cos(math.Pi*y/ly) }
+	gain := sheetCond*math.Pi*math.Pi*(1/(lx*lx)+1/(ly*ly)) + sinkCond
+	var errs []float64
+	for _, nx := range []int{8, 16, 32, 64} {
+		ny := nx / 2 // dx ≠ dy, so a swapped gx/gy would show
+		dx, dy := lx/float64(nx), ly/float64(ny)
+		s, err := NewSheetSolver(nx, ny, dx, dy, sheetCond, sinkCond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := make([]float64, nx*ny)
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				q[j*nx+i] = gain * exact((float64(i)+0.5)*dx, (float64(j)+0.5)*dy) * dx * dy
+			}
+		}
+		dt := make([]float64, nx*ny)
+		if err := s.Solve(q, dt); err != nil {
+			t.Fatal(err)
+		}
+		maxErr := 0.0
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				maxErr = math.Max(maxErr, math.Abs(dt[j*nx+i]-exact((float64(i)+0.5)*dx, (float64(j)+0.5)*dy)))
+			}
+		}
+		errs = append(errs, maxErr)
+	}
+	t.Logf("max errors %g", errs)
+	for k := 1; k < len(errs); k++ {
+		if order := math.Log2(errs[k-1] / errs[k]); order < 1.8 || order > 2.2 {
+			t.Errorf("refinement %d: observed order %.3f outside [1.8, 2.2] (errors %g)", k, order, errs)
+		}
+	}
+}

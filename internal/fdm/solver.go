@@ -1,6 +1,7 @@
 package fdm
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -10,64 +11,34 @@ import (
 
 // Solver discretizes one array cross-section and solves steady-state heat
 // conduction for arbitrary per-line dissipations. The mesh and matrix are
-// built once. When the conduction matrix's band fits a memory budget (the
-// row-major grid numbering makes the bandwidth exactly nx), NewSolver
-// additionally pays a one-time banded Cholesky factorization, after which
-// every Solve/SolveBatch RHS is two triangular sweeps instead of a CG
-// run; otherwise each Solve is a preconditioned CG run with a fresh
-// right-hand side. SolveBatch runs many independent RHS over the one
-// shared setup either way, and a Solver is safe for concurrent use.
+// built once, with the matrix's solve ladder (mathx.Ladder): when the
+// band fits the ladder's memory budget (the row-major grid numbering
+// makes the bandwidth exactly nx) NewSolver pays a one-time banded
+// Cholesky factorization, after which every Solve/SolveBatch RHS is two
+// triangular sweeps instead of a CG run; otherwise each Solve is an
+// IC(0)-preconditioned CG run. SolveBatch runs many independent RHS over
+// the one shared setup either way, and a Solver is safe for concurrent
+// use.
 type Solver struct {
-	m    *mesh
-	a    *mathx.CSR
-	chol *mathx.BandCholesky // non-nil: direct path
-	prec mathx.Preconditioner
-	n    int
-	rtol float64
+	m      *mesh
+	a      *mathx.CSR
+	ladder *mathx.Ladder
+	n      int
 }
-
-// cholEntryBudget caps the banded factor at 16M floats (128 MB): maxBand
-// for an n-cell mesh is cholEntryBudget/n, so fine meshes degrade to PCG
-// instead of exhausting memory.
-const cholEntryBudget = 1 << 24
 
 // NewSolver meshes the array at the given resolution (metres; a third of
 // the smallest feature is a good default — see DefaultResolution) and
-// factors the conduction matrix with a banded Cholesky when the band fits
-// the memory budget — the multi-RHS fast path. If it does not fit, solves
-// fall back to IC(0)-preconditioned CG (degrading to SSOR/Jacobi if the
-// incomplete factorization breaks down).
+// builds the conduction matrix's solve ladder: a banded Cholesky factor
+// when the band fits the memory budget — the multi-RHS fast path — and
+// IC(0)-preconditioned CG otherwise, with Jacobi CG below either.
 func NewSolver(ar *geometry.Array, res float64) (*Solver, error) {
-	s, err := NewSolverPrecond(ar, res, mathx.PrecondIC0)
-	if err != nil {
-		return nil, err
-	}
-	if c, err := mathx.NewBandCholesky(s.a, cholEntryBudget/s.n); err == nil {
-		s.chol = c
-	}
-	return s, nil
-}
-
-// NewSolverPrecond builds a solver that always uses preconditioned CG
-// with an explicit preconditioner choice — the ablation/benchmark hook
-// for comparing Jacobi, SSOR and IC(0) on the same mesh (and the serial
-// baseline the benchmarks measure the direct path against). An
-// unavailable preconditioner degrades along IC(0) → SSOR → Jacobi.
-func NewSolverPrecond(ar *geometry.Array, res float64, pc mathx.Precond) (*Solver, error) {
 	m, err := buildMesh(ar, res)
 	if err != nil {
 		return nil, err
 	}
-	s := &Solver{m: m, n: m.nx() * m.ny(), rtol: 1e-10}
+	s := &Solver{m: m, n: m.nx() * m.ny()}
 	s.a = s.assemble()
-	for _, try := range []mathx.Precond{pc, mathx.PrecondSSOR, mathx.PrecondJacobi} {
-		if s.prec, err = mathx.NewPreconditioner(s.a, try); err == nil {
-			break
-		}
-	}
-	if s.prec == nil {
-		return nil, err
-	}
+	s.ladder = mathx.NewLadder("fdm conduction", s.a, true, 1e-10, 40*s.n)
 	return s, nil
 }
 
@@ -92,44 +63,55 @@ func (s *Solver) idx(i, j int) int { return j*s.m.nx() + i }
 // assemble builds the SPD conduction matrix: per-unit-length face
 // conductances with series (harmonic) averaging of cell conductivities,
 // Dirichlet ΔT = 0 at the substrate surface (y = 0), adiabatic elsewhere.
+// The matrix is the 5-point stencil, so each row is written directly in
+// ascending-column order (south, west, diagonal, east, north); the
+// diagonal sums its faces in that order, then the substrate term.
 func (s *Solver) assemble() *mathx.CSR {
 	m := s.m
 	nx, ny := m.nx(), m.ny()
-	co := mathx.NewCoord(s.n)
 	face := func(d1, k1, d2, k2, w float64) float64 {
 		// Conductance between two cell centers across their shared face
 		// of width w: series half-cells.
 		return w / (d1/(2*k1) + d2/(2*k2))
 	}
+	// east(i, j) couples cell (i, j) to (i+1, j), north(i, j) to (i, j+1).
+	east := func(i, j int) float64 { return face(m.dx(i), m.k[j][i], m.dx(i+1), m.k[j][i+1], m.dy(j)) }
+	north := func(i, j int) float64 { return face(m.dy(j), m.k[j][i], m.dy(j+1), m.k[j+1][i], m.dx(i)) }
+	a := &mathx.CSR{N: s.n, RowPtr: make([]int, s.n+1), ColIdx: make([]int, 0, 5*s.n), Val: make([]float64, 0, 5*s.n)}
+	diag := 0.0
+	off := func(col int, g float64) {
+		a.ColIdx = append(a.ColIdx, col)
+		a.Val = append(a.Val, -g)
+		diag += g
+	}
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
 			p := s.idx(i, j)
-			// East neighbor.
+			diag = 0
+			if j > 0 {
+				off(p-nx, north(i, j-1))
+			}
+			if i > 0 {
+				off(p-1, east(i-1, j))
+			}
+			di := len(a.Val)
+			a.ColIdx = append(a.ColIdx, p)
+			a.Val = append(a.Val, 0)
 			if i+1 < nx {
-				g := face(m.dx(i), m.k[j][i], m.dx(i+1), m.k[j][i+1], m.dy(j))
-				q := s.idx(i+1, j)
-				co.Add(p, p, g)
-				co.Add(q, q, g)
-				co.Add(p, q, -g)
-				co.Add(q, p, -g)
+				off(p+1, east(i, j))
 			}
-			// North neighbor.
 			if j+1 < ny {
-				g := face(m.dy(j), m.k[j][i], m.dy(j+1), m.k[j+1][i], m.dx(i))
-				q := s.idx(i, j+1)
-				co.Add(p, p, g)
-				co.Add(q, q, g)
-				co.Add(p, q, -g)
-				co.Add(q, p, -g)
+				off(p+nx, north(i, j))
 			}
-			// Substrate Dirichlet at y = 0: half-cell conductance to ΔT = 0.
 			if j == 0 {
-				g := m.dx(i) * m.k[j][i] / (m.dy(j) / 2)
-				co.Add(p, p, g)
+				// Substrate Dirichlet at y = 0: half-cell conductance to ΔT = 0.
+				diag += m.dx(i) * m.k[j][i] / (m.dy(j) / 2)
 			}
+			a.Val[di] = diag
+			a.RowPtr[p+1] = len(a.ColIdx)
 		}
 	}
-	return co.ToCSR()
+	return a
 }
 
 // Field is a solved temperature-rise distribution.
@@ -166,12 +148,10 @@ func (s *Solver) rhs(powers map[LineRef]float64) ([]float64, error) {
 	return b, nil
 }
 
-// solveOne computes one field into x down the fallback ladder: a
-// residual-verified direct solve when the banded factor exists, then
-// preconditioned CG (x as the warm-start guess), then Jacobi CG, then
-// a structured mathx.ErrNumeric.
+// solveOne computes one field into x down the solve ladder (x is the
+// warm start of its CG rungs).
 func (s *Solver) solveOne(b, x []float64, powers map[LineRef]float64) (*Field, error) {
-	if err := solveLadder("fdm conduction", s.a, s.chol, s.prec, b, x, s.rtol, 40*s.n); err != nil {
+	if err := s.ladder.Solve(context.TODO(), b, x, nil); err != nil {
 		return nil, fmt.Errorf("fdm: %w", err)
 	}
 	pp := make(map[LineRef]float64, len(powers))

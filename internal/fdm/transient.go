@@ -1,6 +1,7 @@
 package fdm
 
 import (
+	"context"
 	"fmt"
 
 	"dsmtherm/internal/mathx"
@@ -11,8 +12,9 @@ import (
 //	ρc·∂T/∂t = ∇·(k∇T) + q
 //
 // on the array cross-section, integrated implicitly (backward Euler; the
-// fixed system matrix is band-factorized once so each step is a direct
-// solve, with warm-started CG as the wide-mesh fallback). It serves
+// fixed system matrix gets one solve ladder, so each step is a
+// residual-verified direct solve, with warm-started CG as the wide-mesh
+// fallback). It serves
 // two purposes: validating the lumped §6 ESD heat-balance model's
 // boundary-layer loss term against full 2-D conduction, and studying how
 // fast an array approaches its steady state after a power step.
@@ -94,10 +96,11 @@ func (s *Solver) SolvePulse(powers map[LineRef]float64, onDuration, totalDuratio
 	if err != nil {
 		return nil, err
 	}
-	// The backward-Euler system matrix is fixed across all steps, so a
+	// The backward-Euler system matrix is fixed across all steps, so its
 	// one-time banded factorization turns every step into two triangular
-	// sweeps; wide meshes fall back to warm-started CG below.
-	sysChol, _ := mathx.NewBandCholesky(sys, cholEntryBudget/s.n)
+	// sweeps; wide meshes fall back to CG warm-started from the last step.
+	ladder := mathx.NewLadder("transient conduction", sys, true, 1e-10, 0)
+	var scratch mathx.CGScratch
 
 	tr := &Transient{LineDT: make(map[LineRef][]float64)}
 	temp := make([]float64, s.n)
@@ -123,13 +126,8 @@ func (s *Solver) SolvePulse(powers map[LineRef]float64, onDuration, totalDuratio
 				rhs[i] += b[i]
 			}
 		}
-		if sysChol != nil {
-			sysChol.Solve(rhs, temp)
-		} else {
-			res := mathx.SolveCG(sys, rhs, temp, 1e-10, 0)
-			if !res.Converged {
-				return nil, fmt.Errorf("fdm: transient CG stalled at t=%g (residual %g)", tNow, res.Residual)
-			}
+		if err := ladder.Solve(context.TODO(), rhs, temp, &scratch); err != nil {
+			return nil, fmt.Errorf("fdm: transient step at t=%g: %w", tNow, err)
 		}
 		record(tNow)
 	}

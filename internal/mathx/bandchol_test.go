@@ -23,7 +23,7 @@ func TestBandCholeskyMatchesCG(t *testing.T) {
 	xd := make([]float64, a.N)
 	c.Solve(b, xd)
 	xi := make([]float64, a.N)
-	if res := SolveCG(a, b, xi, 1e-13, 10*a.N); !res.Converged {
+	if res := solveCG(a, b, xi, 1e-13, 10*a.N); !res.Converged {
 		t.Fatal("reference CG did not converge")
 	}
 	for i := range xd {
@@ -69,11 +69,8 @@ func TestBandCholeskyBudget(t *testing.T) {
 // TestBandCholeskyNotSPD: an indefinite matrix fails at a pivot instead
 // of producing NaNs.
 func TestBandCholeskyNotSPD(t *testing.T) {
-	co := NewCoord(3)
-	co.Add(0, 0, 1)
-	co.Add(1, 1, -2) // negative pivot
-	co.Add(2, 2, 1)
-	if _, err := NewBandCholesky(co.ToCSR(), 3); !errors.Is(err, ErrBand) {
+	a := diagCSR(1, -2, 1) // negative pivot
+	if _, err := NewBandCholesky(a, 3); !errors.Is(err, ErrBand) {
 		t.Fatalf("err = %v, want ErrBand", err)
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // Numeric health: the backbone's solvers must never hand a NaN field or
 // a silently diverged solution to a signoff verdict. This file holds
-// the structured failure sentinel, the scan/residual helpers the solver
-// fallback ladders are built from (fdm, powergrid), and the process-wide
+// the structured failure sentinel, the scan/residual helpers the solve
+// ladder (ladder.go) is built from, and the process-wide
 // counters the server exports under /metrics.resilience.numeric.
 
 // ErrNumeric is the structured sentinel wrapped by every numeric-health
@@ -76,15 +76,9 @@ func NumericStats() NumericStatsSnapshot {
 	}
 }
 
-// RecordFallback counts one ladder step down (exported for the solver
-// packages that own their ladders — fdm, powergrid).
-func RecordFallback() { fallbackSolves.Add(1) }
-
-// RecordDirectReject counts one direct solve rejected by residual
-// verification.
-func RecordDirectReject() { directRejects.Add(1) }
-
-// RecordNumericFailure counts one solve that exhausted its ladder.
+// RecordNumericFailure counts one numeric failure surfaced to a caller:
+// a solve that exhausted its ladder, or a non-finite result an engine
+// caught itself.
 func RecordNumericFailure() { numericFailures.Add(1) }
 
 // FirstNonFinite returns the index of the first NaN or Inf in xs, or −1
@@ -114,7 +108,7 @@ func CheckFinite(what string, xs []float64) error {
 
 // RelResidual computes the relative residual ‖b − A·x‖₂ / ‖b‖₂ of a
 // candidate solution, the verification step behind every direct solve in
-// the fallback ladders. scratch, when non-nil and long enough, avoids
+// the solve ladder. scratch, when non-nil and long enough, avoids
 // the work-vector allocation. A zero b returns the absolute residual
 // norm; a NaN anywhere propagates into the result (callers treat
 // non-finite as failed verification).

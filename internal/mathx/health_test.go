@@ -46,10 +46,7 @@ func TestCheckFinite(t *testing.T) {
 func TestRelResidual(t *testing.T) {
 	// 2x2 identity: residual of the exact solution is 0; of a wrong
 	// solution, ‖b−x‖/‖b‖.
-	co := NewCoord(2)
-	co.Add(0, 0, 1)
-	co.Add(1, 1, 1)
-	a := co.ToCSR()
+	a := diagCSR(1, 1)
 	b := []float64{3, 4} // ‖b‖ = 5
 	if r := RelResidual(a, []float64{3, 4}, b, nil); r != 0 {
 		t.Fatalf("exact solution residual = %g", r)
@@ -65,17 +62,17 @@ func TestRelResidual(t *testing.T) {
 
 // laplacian1D builds the SPD tridiagonal [-1, 2, -1] system of size n.
 func laplacian1D(n int) *CSR {
-	co := NewCoord(n)
-	for i := 0; i < n; i++ {
-		co.Add(i, i, 2)
-		if i > 0 {
-			co.Add(i, i-1, -1)
+	return buildCSR(n, func(add func(i, j int, v float64)) {
+		for i := 0; i < n; i++ {
+			add(i, i, 2)
+			if i > 0 {
+				add(i, i-1, -1)
+			}
+			if i < n-1 {
+				add(i, i+1, -1)
+			}
 		}
-		if i < n-1 {
-			co.Add(i, i+1, -1)
-		}
-	}
-	return co.ToCSR()
+	})
 }
 
 // TestCGNaNSystemDiverges is the "never hangs" acceptance: CG fed a
@@ -91,7 +88,7 @@ func TestCGNaNSystemDiverges(t *testing.T) {
 	b[3] = math.NaN()
 	x := make([]float64, n)
 	before := NumericStats().CGDivergences
-	res := SolveCG(a, b, x, 1e-10, 10_000)
+	res := solveCG(a, b, x, 1e-10, 10_000)
 	if res.Converged {
 		t.Fatalf("NaN system reported converged: %+v", res)
 	}
@@ -111,17 +108,13 @@ func TestCGNaNSystemDiverges(t *testing.T) {
 // never hang and never claim convergence.
 func TestCGSingularSystemTerminates(t *testing.T) {
 	n := 8
-	co := NewCoord(n)
-	for i := 0; i < n; i++ {
-		co.Add(i, i, 0)
-	}
-	a := co.ToCSR()
+	a := diagCSR(make([]float64, n)...)
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1
 	}
 	x := make([]float64, n)
-	res := SolveCG(a, b, x, 1e-10, 1_000_000)
+	res := solveCG(a, b, x, 1e-10, 1_000_000)
 	if res.Converged {
 		t.Fatalf("singular system reported converged: %+v", res)
 	}
@@ -141,21 +134,21 @@ func TestCGStagnationDetected(t *testing.T) {
 	// guarantee; with a huge iteration budget, only the stagnation (or
 	// divergence) guard ends the loop early.
 	n := 64
-	co := NewCoord(n)
-	for i := 0; i < n; i++ {
+	d := make([]float64, n)
+	for i := range d {
 		v := 1.0
 		if i%2 == 0 {
 			v = -1.0
 		}
-		co.Add(i, i, v*(1+float64(i)))
+		d[i] = v * (1 + float64(i))
 	}
-	a := co.ToCSR()
+	a := diagCSR(d...)
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = math.Sin(float64(i) + 1)
 	}
 	x := make([]float64, n)
-	res := SolveCG(a, b, x, 1e-300, 1_000_000)
+	res := solveCG(a, b, x, 1e-300, 1_000_000)
 	if res.Converged {
 		return // some indefinite systems still hit the tolerance; fine
 	}
@@ -177,7 +170,7 @@ func TestCGHealthyUnaffected(t *testing.T) {
 		b[i] = 1
 	}
 	x := make([]float64, n)
-	res := SolveCG(a, b, x, 1e-12, 10*n)
+	res := solveCG(a, b, x, 1e-12, 10*n)
 	if !res.Converged || res.Diverged || res.Stagnated {
 		t.Fatalf("clean solve flagged: %+v", res)
 	}

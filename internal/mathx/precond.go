@@ -10,57 +10,12 @@ import (
 // matrix (e.g. IC(0) breakdown on a matrix that is not SPD enough).
 var ErrPrecond = errors.New("mathx: preconditioner breakdown")
 
-// Precond selects the preconditioner used by SolveCGOpts.
-type Precond int
-
-const (
-	// PrecondJacobi is diagonal scaling — the cheapest option and the
-	// historical default of SolveCG.
-	PrecondJacobi Precond = iota
-	// PrecondSSOR is symmetric Gauss–Seidel (SSOR with ω = 1):
-	// M = (D+L)·D⁻¹·(D+U). No setup beyond the diagonal; roughly halves
-	// CG iteration counts on 2-D conduction matrices.
-	PrecondSSOR
-	// PrecondIC0 is zero-fill incomplete Cholesky. Strongest of the
-	// three on the FDM stencils (3–6× fewer iterations than Jacobi);
-	// setup can fail (ErrPrecond) when the matrix is not an M-matrix.
-	PrecondIC0
-)
-
-// String names the preconditioner for logs and benchmarks.
-func (p Precond) String() string {
-	switch p {
-	case PrecondJacobi:
-		return "jacobi"
-	case PrecondSSOR:
-		return "ssor"
-	case PrecondIC0:
-		return "ic0"
-	}
-	return fmt.Sprintf("precond(%d)", int(p))
-}
-
 // Preconditioner applies z = M⁻¹·r. Implementations are reusable across
-// solves on the same matrix (fdm builds one per Solver and shares it over
-// every RHS of a batch) and must be safe for concurrent Apply calls with
-// distinct argument slices.
+// solves on the same matrix (a Ladder shares its IC(0) factor over every
+// RHS) and must be safe for concurrent Apply calls with distinct
+// argument slices.
 type Preconditioner interface {
 	Apply(r, z []float64)
-}
-
-// NewPreconditioner builds the selected preconditioner for a. The matrix
-// must be symmetric with rows in ascending column order (as produced by
-// Coord.ToCSR).
-func NewPreconditioner(a *CSR, p Precond) (Preconditioner, error) {
-	switch p {
-	case PrecondJacobi:
-		return newJacobi(a), nil
-	case PrecondSSOR:
-		return newSSOR(a)
-	case PrecondIC0:
-		return NewIC0(a)
-	}
-	return nil, fmt.Errorf("%w: unknown preconditioner %d", ErrPrecond, int(p))
 }
 
 // jacobiPrec is diagonal scaling; zero diagonals pass through unscaled.
@@ -84,55 +39,6 @@ func (j *jacobiPrec) Apply(r, z []float64) {
 	}
 }
 
-// ssorPrec applies M⁻¹ for M = (D+L)·D⁻¹·(D+U): one forward and one
-// backward triangular sweep over the matrix rows. The sweeps are
-// inherently sequential but deterministic; the win is the iteration-count
-// reduction, not intra-apply parallelism.
-type ssorPrec struct {
-	a *CSR
-	d []float64
-}
-
-func newSSOR(a *CSR) (*ssorPrec, error) {
-	d := a.Diag()
-	for i, v := range d {
-		if v == 0 {
-			return nil, fmt.Errorf("%w: zero diagonal at row %d", ErrPrecond, i)
-		}
-	}
-	return &ssorPrec{a: a, d: d}, nil
-}
-
-func (s *ssorPrec) Apply(r, z []float64) {
-	a, d := s.a, s.d
-	n := a.N
-	// Forward solve (D+L)·u = r, writing u into z.
-	for i := 0; i < n; i++ {
-		sum := r[i]
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			if j >= i {
-				break
-			}
-			sum -= a.Val[k] * z[j]
-		}
-		z[i] = sum / d[i]
-	}
-	// v = D·u, then backward solve (D+U)·z = v. Expanding, the update is
-	// z[i] = u[i] − (Σ_{j>i} a_ij·z[j]) / d[i].
-	for i := n - 1; i >= 0; i-- {
-		sum := 0.0
-		for k := a.RowPtr[i+1] - 1; k >= a.RowPtr[i]; k-- {
-			j := a.ColIdx[k]
-			if j <= i {
-				break
-			}
-			sum += a.Val[k] * z[j]
-		}
-		z[i] -= sum / d[i]
-	}
-}
-
 // IC0 is the zero-fill incomplete Cholesky factor L (A ≈ L·Lᵀ on A's
 // lower-triangular sparsity), stored row-compressed. The factor is
 // reusable two ways: across solves on one matrix (Apply is read-only),
@@ -150,7 +56,7 @@ type IC0 struct {
 }
 
 // NewIC0 builds the IC(0) factor of a, which must be symmetric with rows
-// in ascending column order (as produced by Coord.ToCSR). Fails with
+// in ascending column order. Fails with
 // ErrPrecond when a pivot breaks down (matrix not SPD enough).
 func NewIC0(a *CSR) (*IC0, error) {
 	n := a.N

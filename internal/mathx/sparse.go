@@ -1,33 +1,6 @@
 package mathx
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Coord is a coordinate-format (COO) sparse-matrix builder. Finite
-// difference assembly appends (i, j, v) triplets, possibly with duplicates,
-// and ToCSR merges them into compressed sparse row form.
-type Coord struct {
-	N      int
-	is, js []int
-	vals   []float64
-}
-
-// NewCoord returns a builder for an n×n sparse matrix.
-func NewCoord(n int) *Coord { return &Coord{N: n} }
-
-// Add appends the triplet (i, j, v). Duplicate coordinates are summed by
-// ToCSR, which matches the additive stamping used by discretizations.
-func (c *Coord) Add(i, j int, v float64) {
-	if i < 0 || i >= c.N || j < 0 || j >= c.N {
-		panic(fmt.Sprintf("mathx: Coord.Add index (%d,%d) out of range n=%d", i, j, c.N))
-	}
-	c.is = append(c.is, i)
-	c.js = append(c.js, j)
-	c.vals = append(c.vals, v)
-}
+import "math"
 
 // CSR is a compressed-sparse-row matrix.
 type CSR struct {
@@ -35,38 +8,6 @@ type CSR struct {
 	RowPtr []int
 	ColIdx []int
 	Val    []float64
-}
-
-// ToCSR converts the accumulated triplets to CSR, summing duplicates.
-func (c *Coord) ToCSR() *CSR {
-	order := make([]int, len(c.is))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if c.is[ia] != c.is[ib] {
-			return c.is[ia] < c.is[ib]
-		}
-		return c.js[ia] < c.js[ib]
-	})
-	m := &CSR{N: c.N, RowPtr: make([]int, c.N+1)}
-	prevI, prevJ := -1, -1
-	for _, k := range order {
-		i, j, v := c.is[k], c.js[k], c.vals[k]
-		if i == prevI && j == prevJ {
-			m.Val[len(m.Val)-1] += v
-			continue
-		}
-		m.ColIdx = append(m.ColIdx, j)
-		m.Val = append(m.Val, v)
-		m.RowPtr[i+1]++
-		prevI, prevJ = i, j
-	}
-	for i := 0; i < c.N; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
-	}
-	return m
 }
 
 // Diag extracts the diagonal of the matrix; zero diagonal entries are
@@ -84,11 +25,12 @@ func (m *CSR) Diag() []float64 {
 }
 
 // Slot returns the index into Val of entry (i, j), or -1 if the
-// sparsity pattern has no such entry. ToCSR emits each row with
-// ascending columns, so this is a binary search within row i. It lets
-// value-only refreshes (re-stamping temperature-dependent conductances
-// onto a fixed topology) bypass COO assembly entirely: resolve each
-// stamp's slot once, then rewrite Val in place on every pass.
+// sparsity pattern has no such entry. Rows must list their columns in
+// ascending order (every assembler in the module emits them that way),
+// so this is a binary search within row i. It lets value-only refreshes
+// (re-stamping temperature-dependent conductances onto a fixed
+// topology) resolve each stamp's slot once, then rewrite Val in place
+// on every pass.
 func (m *CSR) Slot(i, j int) int {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	for lo < hi {
@@ -166,36 +108,6 @@ type CGResult struct {
 	Stagnated bool
 }
 
-// CGOptions configures SolveCGOpts. The zero value reproduces the classic
-// SolveCG behavior (Jacobi preconditioning, maxIter = 10·N).
-type CGOptions struct {
-	// Rtol is the relative residual target ‖b − A·x‖₂ / ‖b‖₂.
-	Rtol float64
-	// MaxIter caps the iteration count (≤ 0 means 10·N).
-	MaxIter int
-	// Precond selects the preconditioner (default PrecondJacobi).
-	Precond Precond
-}
-
-// SolveCG solves A·x = b for a symmetric positive-definite CSR matrix
-// using Jacobi-preconditioned conjugate gradients. x is used as the
-// initial guess and overwritten with the solution. rtol is the relative
-// residual target; maxIter caps the iteration count (≤ 0 means 10·N).
-func SolveCG(a *CSR, b, x []float64, rtol float64, maxIter int) CGResult {
-	return SolveCGOpts(a, b, x, CGOptions{Rtol: rtol, MaxIter: maxIter})
-}
-
-// SolveCGOpts is SolveCG with an explicit preconditioner choice. A
-// preconditioner that fails to build (IC(0) breakdown) silently degrades
-// to Jacobi — CG still converges, just slower.
-func SolveCGOpts(a *CSR, b, x []float64, opt CGOptions) CGResult {
-	m, err := NewPreconditioner(a, opt.Precond)
-	if err != nil {
-		m = newJacobi(a)
-	}
-	return SolveCGPrec(a, b, x, opt.Rtol, opt.MaxIter, m)
-}
-
 // CGScratch holds the four work vectors of a CG solve so repeated
 // solves of same-size systems (the electrothermal fixed point solves
 // the same grid dozens of times) produce no per-call garbage. The zero
@@ -205,18 +117,22 @@ type CGScratch struct {
 }
 
 func (s *CGScratch) resize(n int) {
-	if cap(s.r) < n {
-		s.r = make([]float64, n)
-		s.z = make([]float64, n)
-		s.p = make([]float64, n)
-		s.ap = make([]float64, n)
-		return
-	}
-	s.r, s.z, s.p, s.ap = s.r[:n], s.z[:n], s.p[:n], s.ap[:n]
+	s.r, s.z, s.p, s.ap = fit(s.r, n), fit(s.z, n), fit(s.p, n), fit(s.ap, n)
 }
 
-// SolveCGPrec runs preconditioned CG with a caller-supplied (reusable)
-// preconditioner, so batched multi-RHS solves pay the setup cost once.
+// fit returns v resliced to length n, reallocated when too short.
+func fit(v []float64, n int) []float64 {
+	if cap(v) < n {
+		return make([]float64, n)
+	}
+	return v[:n]
+}
+
+// SolveCGPrec solves A·x = b for a symmetric positive-definite CSR
+// matrix by CG with a caller-supplied (reusable) preconditioner, so
+// batched multi-RHS solves pay the setup cost once. x is the initial
+// guess and is overwritten with the solution; rtol is the relative
+// residual target and maxIter caps the iterations (≤ 0 means 10·N).
 // An all-zero b short-circuits to the exact solution x = 0 (Converged,
 // zero iterations) regardless of the initial guess.
 func SolveCGPrec(a *CSR, b, x []float64, rtol float64, maxIter int, m Preconditioner) CGResult {

@@ -3,62 +3,62 @@ package mathx
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-func buildLaplacian1D(n int) *CSR {
-	co := NewCoord(n)
-	for i := 0; i < n; i++ {
-		co.Add(i, i, 2)
-		if i > 0 {
-			co.Add(i, i-1, -1)
+// buildCSR assembles an n×n CSR from the entries stamp adds, summing
+// duplicate (i, j) stamps; rows list their columns in ascending order.
+func buildCSR(n int, stamp func(add func(i, j int, v float64))) *CSR {
+	rows := make([]map[int]float64, n)
+	stamp(func(i, j int, v float64) {
+		if rows[i] == nil {
+			rows[i] = map[int]float64{}
 		}
-		if i < n-1 {
-			co.Add(i, i+1, -1)
+		rows[i][j] += v
+	})
+	a := &CSR{N: n, RowPtr: make([]int, n+1)}
+	for i, row := range rows {
+		cols := make([]int, 0, len(row))
+		for j := range row {
+			cols = append(cols, j)
 		}
+		sort.Ints(cols)
+		for _, j := range cols {
+			a.ColIdx = append(a.ColIdx, j)
+			a.Val = append(a.Val, row[j])
+		}
+		a.RowPtr[i+1] = len(a.ColIdx)
 	}
-	return co.ToCSR()
+	return a
 }
 
-func TestCoordDuplicateMerge(t *testing.T) {
-	co := NewCoord(2)
-	co.Add(0, 0, 1)
-	co.Add(0, 0, 2.5)
-	co.Add(1, 1, 4)
-	co.Add(0, 1, -1)
-	m := co.ToCSR()
-	x := []float64{1, 1}
-	y := make([]float64, 2)
-	m.MulVec(x, y)
-	if y[0] != 2.5 || y[1] != 4 {
-		t.Errorf("MulVec after merge got %v", y)
-	}
-	d := m.Diag()
-	if d[0] != 3.5 || d[1] != 4 {
-		t.Errorf("Diag got %v", d)
-	}
+// diagCSR is the diagonal matrix diag(d).
+func diagCSR(d ...float64) *CSR {
+	return buildCSR(len(d), func(add func(i, j int, v float64)) {
+		for i, v := range d {
+			add(i, i, v)
+		}
+	})
 }
 
-func TestCoordOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for out-of-range Add")
-		}
-	}()
-	NewCoord(2).Add(2, 0, 1)
+// solveCG is Jacobi-preconditioned CG, the reference iterative solve of
+// these tests.
+func solveCG(a *CSR, b, x []float64, rtol float64, maxIter int) CGResult {
+	return SolveCGPrec(a, b, x, rtol, maxIter, newJacobi(a))
 }
 
 func TestCGPoisson(t *testing.T) {
 	// Same Poisson problem as the tridiagonal test, via CG.
 	n := 200
 	h := 1.0 / float64(n+1)
-	m := buildLaplacian1D(n)
+	m := laplacian1D(n)
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = h * h
 	}
 	x := make([]float64, n)
-	res := SolveCG(m, b, x, 1e-12, 0)
+	res := solveCG(m, b, x, 1e-12, 0)
 	if !res.Converged {
 		t.Fatalf("CG did not converge: %+v", res)
 	}
@@ -78,9 +78,9 @@ func TestCGMatchesTridiag(t *testing.T) {
 	for i := range b {
 		b[i] = rng.Float64()
 	}
-	m := buildLaplacian1D(n)
+	m := laplacian1D(n)
 	x := make([]float64, n)
-	res := SolveCG(m, b, x, 1e-13, 0)
+	res := solveCG(m, b, x, 1e-13, 0)
 	if !res.Converged {
 		t.Fatalf("CG did not converge")
 	}
@@ -102,9 +102,9 @@ func TestCGMatchesTridiag(t *testing.T) {
 }
 
 func TestCGZeroRHS(t *testing.T) {
-	m := buildLaplacian1D(5)
+	m := laplacian1D(5)
 	x := []float64{1, 2, 3, 4, 5}
-	res := SolveCG(m, make([]float64, 5), x, 1e-12, 0)
+	res := solveCG(m, make([]float64, 5), x, 1e-12, 0)
 	if !res.Converged {
 		t.Fatalf("CG on zero RHS did not converge: %+v", res)
 	}
@@ -117,16 +117,16 @@ func TestCGZeroRHS(t *testing.T) {
 
 func TestCGWarmStart(t *testing.T) {
 	n := 100
-	m := buildLaplacian1D(n)
+	m := laplacian1D(n)
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1
 	}
 	cold := make([]float64, n)
-	resCold := SolveCG(m, b, cold, 1e-10, 0)
+	resCold := solveCG(m, b, cold, 1e-10, 0)
 	// Warm start from the exact solution should converge immediately.
 	warm := append([]float64(nil), cold...)
-	resWarm := SolveCG(m, b, warm, 1e-10, 0)
+	resWarm := solveCG(m, b, warm, 1e-10, 0)
 	if resWarm.Iterations > 2 {
 		t.Errorf("warm start took %d iterations (cold: %d)", resWarm.Iterations, resCold.Iterations)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"dsmtherm/internal/faultinject"
 	"dsmtherm/internal/mathx"
+	"dsmtherm/internal/phys"
 )
 
 // TestIRDropFallbackMatchesIC0: an injected primary-path failure at
@@ -40,5 +41,39 @@ func TestIRDropFallbackMatchesIC0(t *testing.T) {
 	}
 	if got.WorstDropNode != want.WorstDropNode {
 		t.Fatalf("fallback worst node %+v, IC(0) %+v", got.WorstDropNode, want.WorstDropNode)
+	}
+}
+
+// TestNodalSolveIntoAllocationFree pins the coupled loop's per-pass
+// cost: a warm session that passes back its last Solution restamps,
+// refactors IC(0) and solves without allocating.
+func TestNodalSolveIntoAllocationFree(t *testing.T) {
+	g := testGrid()
+	nd, err := g.NewNodal([]Load{{Node{4, 4}, 0.5}, {Node{2, 6}, 0.25}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	temps := make([]float64, nd.NumBranches())
+	for i := range temps {
+		temps[i] = phys.CToK(100)
+	}
+	ctx := context.Background()
+	sol, err := nd.SolveInto(ctx, temps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		// Move the temperatures each pass so every solve does CG work.
+		pass++
+		for i := range temps {
+			temps[i] = phys.CToK(100) + float64(pass%3)
+		}
+		if sol, err = nd.SolveInto(ctx, temps, sol); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SolveInto allocates %v times per warm pass, want 0", allocs)
 	}
 }

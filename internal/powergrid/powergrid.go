@@ -21,7 +21,6 @@ import (
 	"math"
 
 	"dsmtherm/internal/core"
-	"dsmtherm/internal/faultinject"
 	"dsmtherm/internal/mathx"
 	"dsmtherm/internal/ntrs"
 	"dsmtherm/internal/phys"
@@ -313,7 +312,7 @@ type Nodal struct {
 	padSlots []int    // diagonal slots of pad rows (identity stamp)
 	conds    []float64
 	rhs      []float64
-	ic0      *mathx.IC0 // refactored in place each Solve; nil after breakdown
+	ladder   *mathx.Ladder // refactored in place each Solve
 	cg       mathx.CGScratch
 }
 
@@ -473,51 +472,15 @@ func (nd *Nodal) SolveInto(ctx context.Context, temps []float64, reuse *Solution
 	for _, k := range nd.padSlots {
 		a.Val[k] = 1
 	}
-	// Preconditioner ladder: IC(0) (refactored in place each pass) is
-	// the primary path; a fault hook at SiteMathxSolve skips it so tests
-	// can walk the ladder on healthy grids.
-	useIC0 := true
-	if faultinject.Inject(ctx, faultinject.SiteMathxSolve) != nil {
-		mathx.RecordFallback()
-		useIC0 = false
-	}
-	var prec mathx.Preconditioner
-	if useIC0 {
-		if nd.ic0 == nil {
-			if f, err := mathx.NewIC0(a); err == nil {
-				nd.ic0 = f
-			}
-		} else if nd.ic0.Refactor(a) != nil {
-			nd.ic0 = nil
-		}
-		if nd.ic0 != nil {
-			prec = nd.ic0
-		}
-	}
-	onIC0 := prec != nil
-	if prec == nil {
-		prec, _ = mathx.NewPreconditioner(a, mathx.PrecondJacobi)
+	// The solve ladder is IC(0) CG (refactored in place each pass) over
+	// Jacobi CG. It is built on the first pass, once the values exist.
+	if nd.ladder == nil {
+		nd.ladder = mathx.NewLadder("IR-drop", a, false, 1e-12, 0)
+	} else {
+		nd.ladder.Refactor()
 	}
 	copy(nd.rhs, nd.rhsBase)
-	res := mathx.SolveCGScratch(a, nd.rhs, nd.x, 1e-12, 0, prec, &nd.cg)
-	if !res.Converged && onIC0 {
-		// The IC(0) rung failed (divergence, stagnation, or the
-		// iteration cap): restart cold on Jacobi — the failed rung may
-		// have left NaN in the warm-start vector.
-		mathx.RecordFallback()
-		for i := range nd.x {
-			nd.x[i] = 0
-		}
-		prec, _ = mathx.NewPreconditioner(a, mathx.PrecondJacobi)
-		res = mathx.SolveCGScratch(a, nd.rhs, nd.x, 1e-12, 0, prec, &nd.cg)
-	}
-	if !res.Converged {
-		mathx.RecordNumericFailure()
-		return nil, fmt.Errorf("powergrid: %w: CG exhausted the fallback ladder (residual %g after %d iterations, diverged=%v stagnated=%v)",
-			mathx.ErrNumeric, res.Residual, res.Iterations, res.Diverged, res.Stagnated)
-	}
-	if err := mathx.CheckFinite("IR-drop solution", nd.x); err != nil {
-		mathx.RecordNumericFailure()
+	if err := nd.ladder.Solve(ctx, nd.rhs, nd.x, &nd.cg); err != nil {
 		return nil, fmt.Errorf("powergrid: %w", err)
 	}
 	x := nd.x

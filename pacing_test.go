@@ -101,3 +101,32 @@ func TestNoGoroutinesOutsideForEach(t *testing.T) {
 		}
 	})
 }
+
+// TestOneSolveLadder keeps one solve ladder: outside mathx, the numeric
+// packages reach the CG kernels and the factorizations only through
+// mathx.Ladder, so a new rung goes in one place.
+func TestOneSolveLadder(t *testing.T) {
+	banned := map[string]bool{"SolveCGPrec": true, "SolveCGScratch": true, "NewIC0": true, "NewBandCholesky": true}
+	walkNumericSources(t, func(fset *token.FileSet, f *ast.File) {
+		mathx := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "dsmtherm/internal/mathx" {
+				mathx = "mathx"
+				if imp.Name != nil {
+					mathx = imp.Name.Name
+				}
+			}
+		}
+		if mathx == "" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && banned[sel.Sel.Name] {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == mathx {
+					t.Errorf("%s: mathx.%s outside mathx.Ladder", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	})
+}
