@@ -1,33 +1,36 @@
 // Command dsmthermd is the long-running signoff service over the
 // dsmtherm library: an HTTP/JSON daemon serving self-consistent design
-// rules (Eq. 13), duty-cycle sweeps, batch netlist signoff, and
-// technology inspection, with a solve cache, a bounded worker pool,
-// admission control, and a /metrics endpoint.
+// rules (Eq. 13), duty-cycle sweeps, batch netlist signoff, full-chip
+// checks, lifetime studies and technology inspection, with a solve
+// cache, a bounded worker pool, admission control, and a /metrics
+// endpoint.
 //
 //	dsmthermd -addr :8080 -workers 8 -cache 4096 -timeout 30s \
-//	          -admit 16 -queue-depth 64 -queue-wait 2s \
-//	          -batch-max 256 -max-segments 10000 -chip-max-nodes 4096 \
-//	          -lifetime-max-samples 200000 -pprof localhost:6060 \
 //	          -route-timeout /v1/netcheck=2m -route-timeout /v1/rules=5s \
-//	          -snapshot-path /var/lib/dsmthermd/cache.snap -snapshot-interval 5m \
-//	          -quarantine-threshold 3 -breaker-threshold 5 \
-//	          -jobs -jobs-dir /var/lib/dsmthermd/jobs -jobs-workers 1 \
+//	          -snapshot-path /var/lib/dsmthermd/cache.snap \
+//	          -pprof localhost:6060 \
+//	          -jobs -jobs-dir /var/lib/dsmthermd/jobs -jobs-deadline 15m \
 //	          -chunk-retries 3 -chunk-deadline 2m -jobs-degraded-ok
 //
+// The flags are deployment settings only. Request limits, admission,
+// quarantine, breaker, snapshot cadence and job-lane sizing are one
+// fixed policy, listed in DESIGN.md ("Fixed serving policy").
+//
 // With -jobs, chip-scale work (large Monte Carlo runs, sweep grids,
-// FDM coupling maps, full-chip chipchecks) is accepted asynchronously
-// on /v1/jobs and runs on
-// a dedicated low-priority worker lane; with -jobs-dir set, progress is
+// FDM coupling maps, full-chip chipchecks, lifetime studies) is
+// accepted asynchronously on /v1/jobs and runs on a dedicated
+// low-priority worker lane; with -jobs-dir set, progress is
 // checkpointed so a crashed or restarted daemon resumes jobs exactly
 // where they stopped, bit-identical to an uninterrupted run. Job chunks
 // run under a supervisor: -chunk-retries bounds per-chunk retries of
 // transient failures (backed off exponentially), -chunk-deadline is the
-// stuck-chunk watchdog, and chunks that fail past their retries — or
-// fail with a poison/numeric error — are quarantined into a per-chunk
-// failure manifest (job status "completed_partial") instead of failing
-// the whole job. -jobs-degraded-ok keeps accepting jobs when the
-// journal disk fails; checkpointing degrades to in-memory and re-probes
-// the disk periodically.
+// stuck-chunk watchdog (at most -jobs-deadline), and chunks that fail
+// past their retries — or fail with a poison/numeric error — are
+// quarantined into a per-chunk failure manifest (job status
+// "completed_partial") instead of failing the whole job.
+// -jobs-degraded-ok keeps accepting jobs when the journal disk fails;
+// checkpointing degrades to in-memory and re-probes the disk
+// periodically.
 //
 // The daemon drains in-flight requests on SIGINT/SIGTERM before exiting;
 // requests arriving during the drain get a structured 503 and /readyz
@@ -63,30 +66,12 @@ func main() {
 	cache := flag.Int("cache", 4096, "solve/deck cache capacity, entries (negative disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain timeout")
-	admit := flag.Int("admit", 0, "max concurrent solver-bearing requests (0 = 2x workers)")
-	batchMax := flag.Int("batch-max", 0, "max entries in one /v1/batch request (0 = 256)")
-	maxSegments := flag.Int("max-segments", 0, "max segments in one /v1/netcheck design (0 = 10000, negative disables)")
-	chipMaxNodes := flag.Int("chip-max-nodes", 0, "max grid nodes in one synchronous /v1/chipcheck (0 = 4096, negative disables; bigger grids go through -jobs)")
-	lifetimeMaxSamples := flag.Int("lifetime-max-samples", 0, "max Monte Carlo samples in one synchronous /v1/lifetime (0 = 200000, negative disables; bigger studies go through -jobs)")
-	queueDepth := flag.Int("queue-depth", 0, "admission wait-queue depth before 429 (0 = 4x admit, negative = no queue)")
-	queueWait := flag.Duration("queue-wait", 2*time.Second, "max time a request waits for admission before 503")
 	snapshotPath := flag.String("snapshot-path", "", "cache snapshot file for warm restarts (empty disables)")
-	snapshotInterval := flag.Duration("snapshot-interval", 0, "periodic snapshot cadence (0 = 5m, negative = shutdown-only)")
-	quarThreshold := flag.Int("quarantine-threshold", 0, "failures per key before quarantine (0 = 3, negative disables)")
-	quarWindow := flag.Duration("quarantine-window", 0, "quarantine failure-counting window (0 = 1m)")
-	quarTTL := flag.Duration("quarantine-ttl", 0, "quarantine embargo length (0 = 30s)")
-	quarEntries := flag.Int("quarantine-entries", 0, "max tracked poison-key records (0 = 1024)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "failures per class before the circuit opens (0 = 5, negative disables)")
-	breakerWindow := flag.Duration("breaker-window", 0, "breaker failure-counting window (0 = 10s)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open duration before half-open probing (0 = 5s)")
-	breakerStaleAfter := flag.Duration("breaker-stale-after", 0, "freshness horizon for stale-marked hits while degraded (0 = 1m)")
 	jobsOn := flag.Bool("jobs", false, "enable the durable async job subsystem on /v1/jobs")
 	jobsDir := flag.String("jobs-dir", "", "job journal directory for crash-safe resume (empty = in-memory jobs only)")
-	jobsWorkers := flag.Int("jobs-workers", 0, "dedicated job-lane worker count (0 = 1); kept small so chip-scale jobs never crowd interactive traffic")
-	jobsQueue := flag.Int("jobs-queue", 0, "per-lane job backlog before 429 (0 = 16)")
 	jobsDeadline := flag.Duration("jobs-deadline", 0, "default per-job compute budget (0 = 15m)")
 	chunkRetries := flag.Int("chunk-retries", 0, "retries per transiently failing job chunk before quarantine (0 = 3, negative disables retries)")
-	chunkDeadline := flag.Duration("chunk-deadline", 0, "stuck-chunk watchdog: max duration of one chunk attempt (0 disables)")
+	chunkDeadline := flag.Duration("chunk-deadline", 0, "stuck-chunk watchdog: max duration of one chunk attempt (0 disables; at most -jobs-deadline)")
 	jobsDegradedOK := flag.Bool("jobs-degraded-ok", false, "accept job submits even when the journal write fails (ENOSPC); such jobs run in-memory until the disk recovers")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate ops address (e.g. localhost:6060; empty disables)")
 	routeTimeouts := make(map[string]time.Duration)
@@ -113,40 +98,12 @@ func main() {
 		RequestTimeout:   *timeout,
 		EndpointTimeouts: routeTimeouts,
 		DrainTimeout:     *drain,
-		AdmitConcurrent:  *admit,
-		QueueDepth:       *queueDepth,
-		QueueWait:        *queueWait,
-		MaxBatch:         *batchMax,
-		MaxSegments:      *maxSegments,
-		MaxChipNodes:     *chipMaxNodes,
-
-		MaxLifetimeSamples: *lifetimeMaxSamples,
-
-		SnapshotPath:        *snapshotPath,
-		SnapshotInterval:    *snapshotInterval,
-		QuarantineThreshold: *quarThreshold,
-		QuarantineWindow:    *quarWindow,
-		QuarantineTTL:       *quarTTL,
-		QuarantineEntries:   *quarEntries,
-		BreakerThreshold:    *breakerThreshold,
-		BreakerWindow:       *breakerWindow,
-		BreakerCooldown:     *breakerCooldown,
-		BreakerStaleAfter:   *breakerStaleAfter,
-	}
-	if *chunkDeadline < 0 {
-		fmt.Fprintln(os.Stderr, "dsmthermd: -chunk-deadline must be >= 0")
-		os.Exit(2)
-	}
-	if *jobsDeadline > 0 && *chunkDeadline > *jobsDeadline {
-		fmt.Fprintln(os.Stderr, "dsmthermd: -chunk-deadline exceeds -jobs-deadline; the watchdog would never fire")
-		os.Exit(2)
+		SnapshotPath:     *snapshotPath,
 	}
 	var jcfg *jobs.Config
 	if *jobsOn || *jobsDir != "" {
 		jcfg = &jobs.Config{
 			Dir:             *jobsDir,
-			Workers:         *jobsWorkers,
-			QueueDepth:      *jobsQueue,
 			DefaultDeadline: *jobsDeadline,
 			ChunkRetries:    *chunkRetries,
 			ChunkDeadline:   *chunkDeadline,

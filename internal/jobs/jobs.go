@@ -38,7 +38,7 @@
 //     "bulk" lane (bounded queues; overflow is an ErrQueueFull the
 //     serving layer maps to 429 + Retry-After). A small worker set —
 //     separate from the interactive solver pool — drains both lanes
-//     with a weighted pick (InteractiveWeight interactive picks per
+//     with a weighted pick (interactiveWeight interactive picks per
 //     bulk pick, work-conserving in both directions), so a chip-scale
 //     bulk job can never starve small interactive jobs, and job compute
 //     never occupies the pool that /v1/rules latency depends on.

@@ -308,7 +308,7 @@ func TestCancelQueuedAndQueueFull(t *testing.T) {
 	cancelHook := faultinject.Set(faultinject.SiteJobsStep, stallAfter(0, release))
 	defer cancelHook()
 
-	m := newTestManager(t, Config{QueueDepth: 2})
+	m := newTestManager(t, Config{queueDepth: 2})
 	// First job occupies the single worker (stalled at its first step);
 	// wait for the dequeue so the queue itself is empty, then two more
 	// fill the bulk queue.
@@ -651,11 +651,10 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 }
 
 // TestLaneWeighting drives the pick order directly: with both queues
-// full, interactive gets cfg.InteractiveWeight picks per bulk pick, and
+// full, interactive gets interactiveWeight picks per bulk pick, and
 // an empty preferred lane falls through (work conserving).
 func TestLaneWeighting(t *testing.T) {
 	m := &Manager{
-		cfg:    Config{InteractiveWeight: 3}.Defaults(),
 		jobs:   make(map[string]*job),
 		queues: map[Lane][]*job{LaneInteractive: nil, LaneBulk: nil},
 	}
@@ -695,7 +694,7 @@ func TestLaneWeighting(t *testing.T) {
 }
 
 func TestEvictionBoundsJobTable(t *testing.T) {
-	m := newTestManager(t, Config{MaxJobs: 3, QueueDepth: 8})
+	m := newTestManager(t, Config{maxJobs: 3})
 	var ids []string
 	for i := 0; i < 5; i++ {
 		v, err := m.Submit(sweepReq(LaneBulk))
@@ -714,5 +713,37 @@ func TestEvictionBoundsJobTable(t *testing.T) {
 	}
 	if _, err := m.Get(ids[4]); err != nil {
 		t.Fatalf("newest job missing: %v", err)
+	}
+}
+
+// TestChunkDeadlineBounds: the stuck-chunk watchdog must fit inside the
+// resolved job deadline, so the same configuration gets the same answer
+// whether the job deadline is spelled out or left at its default.
+func TestChunkDeadlineBounds(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"off", Config{}, true},
+		{"negative", Config{ChunkDeadline: -time.Second}, false},
+		{"at default job deadline", Config{ChunkDeadline: 15 * time.Minute}, true},
+		{"past default job deadline", Config{ChunkDeadline: 20 * time.Minute}, false},
+		{"past explicit job deadline", Config{DefaultDeadline: 15 * time.Minute, ChunkDeadline: 20 * time.Minute}, false},
+		{"within explicit job deadline", Config{DefaultDeadline: 30 * time.Minute, ChunkDeadline: 20 * time.Minute}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(tc.cfg)
+			if err == nil {
+				m.Stop()
+			}
+			if tc.ok && err != nil {
+				t.Fatalf("New rejected a valid watchdog: %v", err)
+			}
+			if !tc.ok && !errors.Is(err, ErrInvalid) {
+				t.Fatalf("New = %v, want an error wrapping ErrInvalid", err)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -24,98 +25,92 @@ import (
 // maxDeadline caps a client-requested per-job compute budget.
 const maxDeadline = 2 * time.Hour
 
-// Config tunes a Manager. The zero value is usable; Defaults() shows
-// the resolved numbers.
+// Fixed job-lane policy. These are not settings: every deployment runs
+// with them, and DESIGN.md ("Fixed serving policy") lists them next to
+// the serving layer's.
+const (
+	// laneWorkers is the job-lane worker count. These are the only
+	// goroutines that execute job chunks — a deliberately small,
+	// low-priority set separate from the interactive solver pool, so
+	// chip-scale jobs never contend with /v1/rules latency.
+	laneWorkers = 1
+	// laneQueueDepth bounds each lane's backlog; a submit past it is
+	// ErrQueueFull (HTTP 429 + Retry-After).
+	laneQueueDepth = 16
+	// interactiveWeight is the scheduler ratio: this many interactive
+	// picks for every bulk pick, work-conserving both ways.
+	interactiveWeight = 3
+	// maxJobs bounds the retained job table. Inserting past it evicts
+	// the oldest terminal job (and its journal); with nothing evictable
+	// the submit is ErrQueueFull.
+	maxJobs = 1024
+	// retryBudget caps total retries across all of one job's chunks, so
+	// a systematic fault cannot multiply into chunks×retries wasted
+	// compute.
+	retryBudget = 64
+	// retryBackoffBase / retryBackoffCap shape the exponential backoff
+	// between chunk retries.
+	retryBackoffBase = 10 * time.Millisecond
+	retryBackoffCap  = 2 * time.Second
+	// journalReprobe is how often a degraded manager re-probes the
+	// journal with a real write. Between probes, checkpoints are
+	// in-memory only.
+	journalReprobe = 10 * time.Second
+)
+
+// Config holds a Manager's deployment settings. The zero value is
+// usable.
 type Config struct {
 	// Dir is the journal directory. Empty disables durability: jobs
 	// still run, cancel and report, but progress dies with the process.
 	Dir string
-	// Workers is the job-lane worker count (default 1). These are the
-	// only goroutines that execute job chunks — a deliberately small,
-	// low-priority set separate from the interactive solver pool, so
-	// chip-scale jobs never contend with /v1/rules latency.
-	Workers int
-	// QueueDepth bounds each lane's backlog (default 16); a submit past
-	// it is ErrQueueFull (HTTP 429 + Retry-After).
-	QueueDepth int
-	// InteractiveWeight is the scheduler ratio: this many interactive
-	// picks for every bulk pick, work-conserving both ways (default 3).
-	InteractiveWeight int
 	// DefaultDeadline bounds one run attempt's compute budget (default
 	// 15m). Client-requested deadlines are clamped to maxDeadline.
 	DefaultDeadline time.Duration
-	// MaxJobs bounds the retained job table (default 1024). Inserting
-	// past it evicts the oldest terminal job (and its journal); with
-	// nothing evictable the submit is ErrQueueFull.
-	MaxJobs int
-
 	// ChunkRetries is the per-chunk retry cap for transiently failing
 	// chunks (default 3; negative disables retries). A chunk that fails
 	// past its retries — or fails with a poison/numeric error — is
 	// quarantined into the failure manifest instead of failing the job.
 	ChunkRetries int
-	// ChunkDeadline bounds one chunk *attempt* (0 disables). It is the
+	// ChunkDeadline bounds one chunk *attempt* (0 disables; at most
+	// DefaultDeadline, or New rejects the config). It is the
 	// stuck-chunk watchdog: an attempt that exceeds it is treated as a
 	// transient failure (retried with backoff, then quarantined), while
 	// the job-level deadline keeps bounding the whole run.
 	ChunkDeadline time.Duration
-	// RetryBudget caps total retries across all of one job's chunks
-	// (default 64; negative means none), so a systematic fault cannot
-	// multiply into chunks×retries wasted compute.
-	RetryBudget int
-	// RetryBackoffBase / RetryBackoffCap shape the exponential backoff
-	// between chunk retries (defaults 10ms / 2s).
-	RetryBackoffBase time.Duration
-	RetryBackoffCap  time.Duration
-	// JournalReprobe is how often a degraded manager re-probes the
-	// journal with a real write (default 10s). Between probes,
-	// checkpoints are in-memory only.
-	JournalReprobe time.Duration
 	// DegradedOK accepts submits whose initial journal write fails
 	// (ENOSPC, dead disk): the job runs in-memory — not crash-durable
 	// until a later probe succeeds — instead of being rejected.
 	DegradedOK bool
+
+	// Test-only overrides of the fixed policy; zero selects the
+	// constant of the same name.
+	queueDepth, maxJobs, retryBudget                  int
+	retryBackoffBase, retryBackoffCap, journalReprobe time.Duration
 }
 
-// Defaults returns cfg with every unset knob resolved.
-func (cfg Config) Defaults() Config {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 16
-	}
-	if cfg.InteractiveWeight <= 0 {
-		cfg.InteractiveWeight = 3
-	}
+// resolve fills in defaults and rejects a chunk watchdog that could
+// never fire before the job deadline.
+func (cfg Config) resolve() (Config, error) {
 	if cfg.DefaultDeadline <= 0 {
 		cfg.DefaultDeadline = 15 * time.Minute
 	}
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = 1024
+	if cfg.ChunkDeadline < 0 || cfg.ChunkDeadline > cfg.DefaultDeadline {
+		return cfg, fmt.Errorf("%w: chunk deadline %s outside [0, %s] (the job deadline)",
+			ErrInvalid, cfg.ChunkDeadline, cfg.DefaultDeadline)
 	}
 	if cfg.ChunkRetries == 0 {
 		cfg.ChunkRetries = 3
 	}
-	if cfg.RetryBudget == 0 {
-		cfg.RetryBudget = 64
-	}
-	if cfg.RetryBackoffBase <= 0 {
-		cfg.RetryBackoffBase = 10 * time.Millisecond
-	}
-	if cfg.RetryBackoffCap <= 0 {
-		cfg.RetryBackoffCap = 2 * time.Second
-	}
-	if cfg.JournalReprobe <= 0 {
-		cfg.JournalReprobe = 10 * time.Second
-	}
-	return cfg
+	cfg.ChunkRetries = max(0, cfg.ChunkRetries)
+	cfg.queueDepth = cmp.Or(cfg.queueDepth, laneQueueDepth)
+	cfg.maxJobs = cmp.Or(cfg.maxJobs, maxJobs)
+	cfg.retryBudget = cmp.Or(cfg.retryBudget, retryBudget)
+	cfg.retryBackoffBase = cmp.Or(cfg.retryBackoffBase, retryBackoffBase)
+	cfg.retryBackoffCap = cmp.Or(cfg.retryBackoffCap, retryBackoffCap)
+	cfg.journalReprobe = cmp.Or(cfg.journalReprobe, journalReprobe)
+	return cfg, nil
 }
-
-// chunkRetries / retryBudget resolve the negative-disables convention.
-func (cfg Config) chunkRetries() int { return max(0, cfg.ChunkRetries) }
-
-func (cfg Config) retryBudget() int { return max(0, cfg.RetryBudget) }
 
 // Stop/crash/cancel causes. Classification happens via context.Cause:
 // the same context.Canceled surfaces from a chunk whether the job was
@@ -269,7 +264,7 @@ type Manager struct {
 
 	// Journal degradation state: degraded flips on at the first failed
 	// journal write and off at the first successful re-probe; lastProbe
-	// (unix nanos) rate-limits probing to cfg.JournalReprobe.
+	// (unix nanos) rate-limits probing to cfg.journalReprobe.
 	degraded          atomic.Bool
 	degradedEvents    atomic.Uint64
 	degradedSkips     atomic.Uint64
@@ -286,7 +281,10 @@ type Manager struct {
 // quarantined too, and a chunk-grid retune resets that job's progress
 // rather than resuming into the wrong boundaries.
 func New(cfg Config) (*Manager, error) {
-	cfg = cfg.Defaults()
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("jobs: journal dir: %w", err)
@@ -312,7 +310,7 @@ func New(cfg Config) (*Manager, error) {
 		}
 	}
 
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < laneWorkers; i++ {
 		m.wg.Add(1)
 		go m.worker()
 	}
@@ -432,15 +430,15 @@ func (m *Manager) Submit(req SubmitRequest) (View, error) {
 		m.removeJournal(j.id)
 		return View{}, ErrStopped
 	}
-	if len(m.queues[lane]) >= m.cfg.QueueDepth {
+	if len(m.queues[lane]) >= m.cfg.queueDepth {
 		m.mu.Unlock()
 		m.removeJournal(j.id)
-		return View{}, fmt.Errorf("%w: %s lane at depth %d", ErrQueueFull, lane, m.cfg.QueueDepth)
+		return View{}, fmt.Errorf("%w: %s lane at depth %d", ErrQueueFull, lane, m.cfg.queueDepth)
 	}
-	if len(m.jobs) >= m.cfg.MaxJobs && !m.evictLocked() {
+	if len(m.jobs) >= m.cfg.maxJobs && !m.evictLocked() {
 		m.mu.Unlock()
 		m.removeJournal(j.id)
-		return View{}, fmt.Errorf("%w: %d jobs retained and none evictable", ErrQueueFull, m.cfg.MaxJobs)
+		return View{}, fmt.Errorf("%w: %d jobs retained and none evictable", ErrQueueFull, m.cfg.maxJobs)
 	}
 	m.jobs[j.id] = j
 	m.queues[lane] = append(m.queues[lane], j)
@@ -663,7 +661,7 @@ func (m *Manager) worker() {
 }
 
 // dequeue blocks for the next runnable job (nil on shutdown), applying
-// the weighted lane pick: InteractiveWeight interactive picks per bulk
+// the weighted lane pick: interactiveWeight interactive picks per bulk
 // pick, falling through to the other lane when the preferred one is
 // empty.
 func (m *Manager) dequeue() *job {
@@ -682,7 +680,7 @@ func (m *Manager) dequeue() *job {
 }
 
 func (m *Manager) pickLocked() *job {
-	w := m.cfg.InteractiveWeight
+	w := interactiveWeight
 	order := [2]Lane{LaneInteractive, LaneBulk}
 	if m.picks%(w+1) == w {
 		order[0], order[1] = LaneBulk, LaneInteractive
@@ -714,7 +712,7 @@ func (m *Manager) runJob(j *job) {
 		cancel(errCancelled)
 	}
 	ctx, cancelDl := context.WithDeadlineCause(runCtx, time.Now().Add(j.deadline), errDeadline)
-	j.retry = resilience.NewBudget(m.cfg.retryBudget())
+	j.retry = resilience.NewBudget(m.cfg.retryBudget)
 	err := m.runChunks(ctx, j)
 	cancelDl()
 	m.mu.Lock()
@@ -823,10 +821,10 @@ func backoffSeed(id string, c int) uint64 {
 // unwind (lifecycle causes and unclassified failures — preserving the
 // fail-fast contract for errors the taxonomy does not know).
 func (m *Manager) superviseChunk(ctx context.Context, j *job, c int) (blob []byte, fail *ChunkFailure, err error) {
-	retries := m.cfg.chunkRetries()
+	retries := m.cfg.ChunkRetries
 	bo := resilience.Backoff{
-		Base: m.cfg.RetryBackoffBase,
-		Cap:  m.cfg.RetryBackoffCap,
+		Base: m.cfg.retryBackoffBase,
+		Cap:  m.cfg.retryBackoffCap,
 		Seed: backoffSeed(j.id, c),
 	}
 	for attempt := 1; ; attempt++ {
@@ -963,7 +961,7 @@ func (m *Manager) checkpoint(ctx context.Context, j *job) {
 		return
 	}
 	if m.degraded.Load() {
-		if time.Now().UnixNano()-m.lastProbe.Load() < int64(m.cfg.JournalReprobe) {
+		if time.Now().UnixNano()-m.lastProbe.Load() < int64(m.cfg.journalReprobe) {
 			m.degradedSkips.Add(1)
 			return
 		}

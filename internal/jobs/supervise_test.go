@@ -29,8 +29,8 @@ func fastRetry(dir string) Config {
 	return Config{
 		Dir:              dir,
 		ChunkRetries:     2,
-		RetryBackoffBase: time.Millisecond,
-		RetryBackoffCap:  4 * time.Millisecond,
+		retryBackoffBase: time.Millisecond,
+		retryBackoffCap:  4 * time.Millisecond,
 	}
 }
 
@@ -279,7 +279,7 @@ func TestRetryBudgetBoundsTotalRetries(t *testing.T) {
 	defer cancel()
 
 	cfg := fastRetry(t.TempDir())
-	cfg.RetryBudget = 1
+	cfg.retryBudget = 1
 	m := newTestManager(t, cfg)
 	v, err := m.Submit(sweepReq(LaneBulk))
 	if err != nil {
@@ -462,7 +462,7 @@ func TestJournalFailureDegrades(t *testing.T) {
 
 	cfg := fastRetry(t.TempDir())
 	cfg.DegradedOK = true
-	cfg.JournalReprobe = time.Hour // no probe noise mid-test
+	cfg.journalReprobe = time.Hour // no probe noise mid-test
 	m := newTestManager(t, cfg)
 
 	failing.Store(true)
@@ -498,7 +498,7 @@ func TestJournalFailureDegrades(t *testing.T) {
 }
 
 // TestJournalReprobeWhileDegraded: while degraded, checkpoints probe
-// the disk (once per JournalReprobe interval — here effectively every
+// the disk (once per journalReprobe interval — here effectively every
 // checkpoint) and the manager recovers the moment a probe succeeds.
 func TestJournalReprobeWhileDegraded(t *testing.T) {
 	var failing atomic.Bool
@@ -513,7 +513,7 @@ func TestJournalReprobeWhileDegraded(t *testing.T) {
 
 	cfg := fastRetry(t.TempDir())
 	cfg.DegradedOK = true
-	cfg.JournalReprobe = time.Nanosecond // probe on every checkpoint
+	cfg.journalReprobe = time.Nanosecond // probe on every checkpoint
 	m := newTestManager(t, cfg)
 
 	v, err := m.Submit(sweepReq(LaneBulk))

@@ -25,6 +25,8 @@ import (
 	"context"
 	"errors"
 	"time"
+
+	"dsmtherm/internal/mathx"
 )
 
 // Class is a failure class — the retry-worthiness of an error.
@@ -139,15 +141,6 @@ func (b Backoff) cap() time.Duration {
 	return 2 * time.Second
 }
 
-// splitmix64 is the standard 64-bit finalizer-based PRNG step: a
-// high-quality stateless hash from (seed, n) to a uniform word.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Delay returns the backoff delay before retry number attempt (0-based:
 // attempt 0 is the wait before the first retry).
 func (b Backoff) Delay(attempt int) time.Duration {
@@ -164,7 +157,9 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	}
 	// Equal jitter: half the exponential delay is kept, the other half
 	// scales by a deterministic uniform draw, landing in [d/2, d).
-	u := splitmix64(b.Seed ^ uint64(attempt)*0x9e3779b97f4a7c15)
+	var src mathx.SplitMix64
+	src.Seed(int64(b.Seed ^ uint64(attempt)*0x9e3779b97f4a7c15))
+	u := src.Uint64()
 	frac := float64(u>>11) / float64(1<<53) // uniform [0, 1)
 	return d/2 + time.Duration(frac*float64(d/2))
 }

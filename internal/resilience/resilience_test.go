@@ -93,6 +93,26 @@ func TestBackoffDelay(t *testing.T) {
 	}
 }
 
+// TestBackoffDelayPinned pins the exact jittered schedule (10ms base,
+// 2s cap) for two seeds: chaos tests replay retry timings, so the
+// jitter stream must not drift when its mixer changes home.
+func TestBackoffDelayPinned(t *testing.T) {
+	want := map[uint64][10]time.Duration{
+		7: {6949148, 19237001, 32259493, 46376168, 136445651,
+			220897428, 335910268, 974762995, 1134258298, 1338489862},
+		0xdeadbeef: {6462381, 19093895, 34902830, 66183166, 113160768,
+			217009178, 323065045, 1240557351, 1429887062, 1893951824},
+	}
+	for seed, delays := range want {
+		b := Backoff{Base: 10 * time.Millisecond, Cap: 2 * time.Second, Seed: seed}
+		for attempt, d := range delays {
+			if got := b.Delay(attempt); got != d {
+				t.Errorf("seed %#x attempt %d: Delay = %d, want %d", seed, attempt, got, d)
+			}
+		}
+	}
+}
+
 func TestBackoffDefaults(t *testing.T) {
 	var b Backoff
 	if d := b.Delay(0); d < 5*time.Millisecond || d >= 10*time.Millisecond {

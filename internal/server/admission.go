@@ -28,16 +28,9 @@ type Admission struct {
 }
 
 // NewAdmission builds an admission gate with the given concurrency
-// slots, queue depth, and maximum queue wait. slots < 1 is raised to 1;
-// maxQueue < 0 is treated as 0 (no waiting: saturation rejects
-// immediately).
+// slots (at least 1), queue depth (0 = no waiting: saturation rejects
+// immediately), and maximum queue wait.
 func NewAdmission(slots, maxQueue int, maxWait time.Duration) *Admission {
-	if slots < 1 {
-		slots = 1
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
 	return &Admission{
 		slots:    make(chan struct{}, slots),
 		maxQueue: int64(maxQueue),
@@ -51,7 +44,7 @@ func NewAdmission(slots, maxQueue int, maxWait time.Duration) *Admission {
 // exactly once.
 //
 // The queue wait is clamped to the caller's remaining deadline budget:
-// the configured maxWait is a global knob, but a route with a tight
+// maxWait is one global bound, but a route with a tight
 // per-endpoint deadline must not spend its whole budget queued and
 // "arrive pre-expired" — when the clamped wait is exhausted (whether
 // the timer or the deadline fires first; they are the same instant),

@@ -243,12 +243,10 @@ func TestQueueWaitClampOverHTTP(t *testing.T) {
 	s := New(Config{
 		Workers:          2,
 		CacheEntries:     64,
-		AdmitConcurrent:  1,
-		QueueDepth:       4,
-		QueueWait:        10 * time.Second,
 		RequestTimeout:   10 * time.Second,
 		EndpointTimeouts: map[string]time.Duration{"/v1/rules": 150 * time.Millisecond},
 	})
+	s.admission = NewAdmission(1, 4, 10*time.Second)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

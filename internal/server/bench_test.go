@@ -74,7 +74,7 @@ func BenchmarkServerRulesUncached(b *testing.B) {
 // pre-coalescer thundering herd.
 func BenchmarkServerRulesThunderingHerd(b *testing.B) {
 	const herd = 8
-	s := New(Config{Workers: herd, CacheEntries: 1 << 16, AdmitConcurrent: 2 * herd})
+	s := New(Config{Workers: herd, CacheEntries: 1 << 16})
 	ts := httptest.NewServer(s.Handler())
 	b.Cleanup(ts.Close)
 	b.ResetTimer()
@@ -234,7 +234,8 @@ func BenchmarkWarmStartVsCold(b *testing.B) {
 // latency a poisoned key's clients see instead of a solver crash — it
 // must stay trivially cheap, since its whole point is shedding load.
 func BenchmarkQuarantineHit(b *testing.B) {
-	s := New(Config{Workers: 4, CacheEntries: 256, QuarantineThreshold: 1})
+	s := New(Config{Workers: 4, CacheEntries: 256})
+	s.quarantine = NewQuarantine(1, quarantineWindow, quarantineTTL, quarantineEntries)
 	ts := httptest.NewServer(s.Handler())
 	b.Cleanup(ts.Close)
 

@@ -68,10 +68,9 @@ const (
 // path. Each class trips independently: threshold failures of a class
 // within window open that class's circuit for cooldown. While any
 // class is open the solver path is degraded — cache hits keep serving
-// (marked stale once past the freshness horizon; that policy lives in
-// the Server), and cache misses are short-circuited with a fast
-// structured 503 instead of queueing behind a solver that keeps
-// failing. Once the cooldown elapses the class turns half-open and
+// (marked stale once older than staleAfter, see Stale), and cache
+// misses are short-circuited with a fast structured 503 instead of
+// queueing behind a solver that keeps failing. Once the cooldown elapses the class turns half-open and
 // Allow grants exactly one probe; the probe rides the ordinary
 // singleflight path, so recovery costs one solve. A probe success
 // recloses every degraded class; a probe failure re-opens its class
@@ -80,9 +79,10 @@ const (
 // Allow's fast path is one atomic load: a healthy breaker adds nothing
 // but that to the serving path.
 type Breaker struct {
-	threshold int           // failures within window to trip; <= 0 disables
-	window    time.Duration // failure-counting window
-	cooldown  time.Duration // open duration before half-open
+	threshold  int           // failures within window to trip
+	window     time.Duration // failure-counting window
+	cooldown   time.Duration // open duration before half-open
+	staleAfter time.Duration // freshness horizon for hits while degraded
 
 	degraded atomic.Int32 // classes not closed (fast-path gate + gauge)
 
@@ -103,18 +103,17 @@ type breakerClass struct {
 	openedAt    time.Time
 }
 
-// NewBreaker builds a breaker. threshold <= 0 disables it (Allow always
-// admits, Record is a no-op).
-func NewBreaker(threshold int, window, cooldown time.Duration) *Breaker {
+// NewBreaker builds a breaker. A nil *Breaker is inert: Allow always
+// admits and Record is a no-op.
+func NewBreaker(threshold int, window, cooldown, staleAfter time.Duration) *Breaker {
 	return &Breaker{
-		threshold: threshold,
-		window:    window,
-		cooldown:  cooldown,
-		classes:   make(map[string]*breakerClass),
+		threshold:  threshold,
+		window:     window,
+		cooldown:   cooldown,
+		staleAfter: staleAfter,
+		classes:    make(map[string]*breakerClass),
 	}
 }
-
-func (b *Breaker) disabled() bool { return b == nil || b.threshold <= 0 }
 
 // Allow gates one solver-path cache miss. ok=false short-circuits the
 // miss (serve a structured 503 with the retryAfter hint). probe=true
@@ -122,7 +121,7 @@ func (b *Breaker) disabled() bool { return b == nil || b.threshold <= 0 }
 // through Record (or ProbeDone for an inconclusive lifecycle end) so
 // the probe slot is released.
 func (b *Breaker) Allow() (probe bool, retryAfter time.Duration, ok bool) {
-	if b.disabled() || b.degraded.Load() == 0 {
+	if b == nil || b.degraded.Load() == 0 {
 		return false, 0, true
 	}
 	now := time.Now()
@@ -164,7 +163,7 @@ func (b *Breaker) Allow() (probe bool, retryAfter time.Duration, ok bool) {
 // RecordSuccess reports a successful (or deterministically-answered)
 // compute. A probe success recloses every degraded class.
 func (b *Breaker) RecordSuccess(probe bool) {
-	if b.disabled() || !probe {
+	if b == nil || !probe {
 		return
 	}
 	b.mu.Lock()
@@ -185,7 +184,7 @@ func (b *Breaker) RecordSuccess(probe bool) {
 // or a straggler that passed Allow before the trip) it re-opens the
 // class with a fresh cooldown.
 func (b *Breaker) RecordFailure(class string, probe bool) {
-	if b.disabled() {
+	if b == nil {
 		return
 	}
 	now := time.Now()
@@ -228,7 +227,7 @@ func (b *Breaker) RecordFailure(class string, probe bool) {
 // prove anything); the class stays half-open and the next Allow grants
 // a fresh probe.
 func (b *Breaker) ProbeDone(probe bool) {
-	if b.disabled() || !probe {
+	if b == nil || !probe {
 		return
 	}
 	b.mu.Lock()
@@ -236,15 +235,22 @@ func (b *Breaker) ProbeDone(probe bool) {
 	b.mu.Unlock()
 }
 
-// Degraded reports whether any failure class is not closed. The
-// Server's stale-marking policy keys off this.
+// Degraded reports whether any failure class is not closed.
 func (b *Breaker) Degraded() bool {
-	return !b.disabled() && b.degraded.Load() > 0
+	return b != nil && b.degraded.Load() > 0
+}
+
+// Stale reports whether a cache hit stored at `at` should carry
+// "stale":true: only while degraded, and only once the entry has aged
+// past staleAfter. While healthy, age is irrelevant — solves are
+// deterministic, a hit is a hit.
+func (b *Breaker) Stale(at time.Time) bool {
+	return b.Degraded() && time.Since(at) > b.staleAfter
 }
 
 // States snapshots the per-class states for /metrics.
 func (b *Breaker) States() map[string]string {
-	if b.disabled() {
+	if b == nil {
 		return nil
 	}
 	b.mu.Lock()

@@ -42,7 +42,7 @@ func TestFailureClassTaxonomy(t *testing.T) {
 }
 
 func TestBreakerTripShortCircuitAndReclose(t *testing.T) {
-	b := NewBreaker(3, time.Minute, 30*time.Millisecond)
+	b := NewBreaker(3, time.Minute, 30*time.Millisecond, time.Minute)
 
 	// Below threshold: closed, everything admitted.
 	for i := 0; i < 2; i++ {
@@ -98,7 +98,7 @@ func TestBreakerTripShortCircuitAndReclose(t *testing.T) {
 }
 
 func TestBreakerProbeFailureReopens(t *testing.T) {
-	b := NewBreaker(1, time.Minute, 20*time.Millisecond)
+	b := NewBreaker(1, time.Minute, 20*time.Millisecond, time.Minute)
 	b.RecordFailure(failureClassPanic, false)
 	time.Sleep(30 * time.Millisecond)
 	probe, _, ok := b.Allow()
@@ -131,7 +131,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 // probe whose request dies for lifecycle reasons must release the token
 // (ProbeDone) or half-open would deadlock with no probe ever reporting.
 func TestBreakerProbeLifecycleRelease(t *testing.T) {
-	b := NewBreaker(1, time.Minute, 10*time.Millisecond)
+	b := NewBreaker(1, time.Minute, 10*time.Millisecond, time.Minute)
 	b.RecordFailure(failureClassInternal, false)
 	time.Sleep(20 * time.Millisecond)
 	probe, _, ok := b.Allow()
@@ -148,7 +148,7 @@ func TestBreakerProbeLifecycleRelease(t *testing.T) {
 // count failures for another, but DOES degrade the whole solver path
 // (misses short-circuit regardless of which class tripped).
 func TestBreakerClassesIndependent(t *testing.T) {
-	b := NewBreaker(2, time.Minute, time.Minute)
+	b := NewBreaker(2, time.Minute, time.Minute, time.Minute)
 	b.RecordFailure(failureClassPanic, false)
 	b.RecordFailure(failureClassInternal, false)
 	if b.Degraded() {
@@ -168,25 +168,45 @@ func TestBreakerClassesIndependent(t *testing.T) {
 }
 
 func TestBreakerDisabled(t *testing.T) {
-	for _, b := range []*Breaker{nil, NewBreaker(-1, time.Minute, time.Minute)} {
-		for i := 0; i < 10; i++ {
-			b.RecordFailure(failureClassInternal, false)
-		}
-		if b.Degraded() {
-			t.Error("disabled breaker degraded")
-		}
-		if probe, _, ok := b.Allow(); !ok || probe {
-			t.Error("disabled breaker gated a miss")
-		}
+	var b *Breaker
+	for i := 0; i < 10; i++ {
+		b.RecordFailure(failureClassInternal, false)
+	}
+	if b.Degraded() {
+		t.Error("disabled breaker degraded")
+	}
+	if probe, _, ok := b.Allow(); !ok || probe {
+		t.Error("disabled breaker gated a miss")
 	}
 }
 
 func TestBreakerWindowExpiry(t *testing.T) {
-	b := NewBreaker(2, 30*time.Millisecond, time.Minute)
+	b := NewBreaker(2, 30*time.Millisecond, time.Minute, time.Minute)
 	b.RecordFailure(failureClassInternal, false)
 	time.Sleep(40 * time.Millisecond)
 	b.RecordFailure(failureClassInternal, false)
 	if b.Degraded() {
 		t.Fatal("failures across a stale window tripped the breaker")
+	}
+}
+
+// TestBreakerStale: hits are marked stale only while degraded and only
+// once past the breaker's freshness horizon.
+func TestBreakerStale(t *testing.T) {
+	b := NewBreaker(1, time.Minute, time.Minute, time.Second)
+	old := time.Now().Add(-time.Hour)
+	if b.Stale(old) {
+		t.Error("healthy breaker marked an old hit stale")
+	}
+	b.RecordFailure(failureClassInternal, false)
+	if !b.Stale(old) {
+		t.Error("degraded breaker served an old hit as fresh")
+	}
+	if b.Stale(time.Now()) {
+		t.Error("degraded breaker marked a fresh hit stale")
+	}
+	var nilBreaker *Breaker
+	if nilBreaker.Stale(old) {
+		t.Error("nil breaker marked a hit stale")
 	}
 }

@@ -76,13 +76,11 @@ func TestChaosLoadWithFaults(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	s := New(Config{
-		Workers:         4,
-		CacheEntries:    512,
-		AdmitConcurrent: 4,
-		QueueDepth:      8,
-		QueueWait:       200 * time.Millisecond,
-		RequestTimeout:  10 * time.Second,
+		Workers:        4,
+		CacheEntries:   512,
+		RequestTimeout: 10 * time.Second,
 	})
+	s.admission = NewAdmission(4, 8, 200*time.Millisecond)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -262,13 +260,8 @@ func waitQuiescent(t *testing.T, s *Server, timeout time.Duration) {
 // early).
 func TestChaosCoalescerThunderingHerd(t *testing.T) {
 	const herd = 8
-	s := New(Config{
-		Workers:         herd,
-		CacheEntries:    512,
-		AdmitConcurrent: 2 * herd,
-		QueueDepth:      2 * herd,
-		QueueWait:       5 * time.Second,
-	})
+	s := New(Config{Workers: herd, CacheEntries: 512})
+	s.admission = NewAdmission(2*herd, 2*herd, 5*time.Second)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -371,7 +364,7 @@ func TestChaosCoalescerThunderingHerd(t *testing.T) {
 // to leader under its own live context, so every surviving request
 // still gets a 200.
 func TestChaosCoalescerLeaderCancelled(t *testing.T) {
-	s := New(Config{Workers: 4, CacheEntries: 512, AdmitConcurrent: 8})
+	s := New(Config{Workers: 4, CacheEntries: 512})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -537,13 +530,8 @@ func TestCancelledRequestFreesPoolSlot(t *testing.T) {
 // /healthz stay responsive while every admission slot is pinned by
 // stalled solves — observability must survive overload.
 func TestChaosStalledSolveDoesNotBlockUngatedRoutes(t *testing.T) {
-	s := New(Config{
-		Workers:         2,
-		CacheEntries:    -1,
-		AdmitConcurrent: 2,
-		QueueDepth:      2,
-		QueueWait:       5 * time.Second,
-	})
+	s := New(Config{Workers: 2, CacheEntries: -1})
+	s.admission = NewAdmission(2, 2, 5*time.Second)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -647,19 +635,12 @@ func TestChaosPoisonKeyQuarantine(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	const quarantineAfter = 3
-	s := New(Config{
-		Workers:             4,
-		CacheEntries:        512,
-		AdmitConcurrent:     32,
-		QueueDepth:          64,
-		QueueWait:           5 * time.Second,
-		QuarantineThreshold: quarantineAfter,
-		QuarantineWindow:    time.Minute,
-		QuarantineTTL:       time.Minute,
-		// Keep the breaker out of this test's way: the poison key must be
-		// contained by the per-key quarantine, not a global trip.
-		BreakerThreshold: 1000,
-	})
+	s := New(Config{Workers: 4, CacheEntries: 512})
+	s.admission = NewAdmission(32, 64, 5*time.Second)
+	s.quarantine = NewQuarantine(quarantineAfter, time.Minute, time.Minute, quarantineEntries)
+	// Keep the breaker out of this test's way: the poison key must be
+	// contained by the per-key quarantine, not a global trip.
+	s.breaker = NewBreaker(1000, breakerWindow, breakerCooldown, breakerStaleAfter)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -796,19 +777,12 @@ func TestChaosPoisonKeyQuarantine(t *testing.T) {
 // the freshness horizon), cold keys get fast 503 "breaker_open" with
 // Retry-After, and after the cooldown one probe recloses the circuit.
 func TestChaosBreakerDegradedServing(t *testing.T) {
-	s := New(Config{
-		Workers:          4,
-		CacheEntries:     512,
-		AdmitConcurrent:  8,
-		BreakerThreshold: 3,
-		BreakerWindow:    time.Minute,
-		BreakerCooldown:  100 * time.Millisecond,
-		// Immediate horizon: any hit served while degraded is stale.
-		BreakerStaleAfter: time.Nanosecond,
-		// Distinct cold keys each fail once; keep the per-key quarantine
-		// from absorbing the failures before the breaker sees three.
-		QuarantineThreshold: 1000,
-	})
+	s := New(Config{Workers: 4, CacheEntries: 512})
+	// Immediate horizon: any hit served while degraded is stale.
+	s.breaker = NewBreaker(3, time.Minute, 100*time.Millisecond, time.Nanosecond)
+	// Distinct cold keys each fail once; keep the per-key quarantine
+	// from absorbing the failures before the breaker sees three.
+	s.quarantine = NewQuarantine(1000, quarantineWindow, quarantineTTL, quarantineEntries)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

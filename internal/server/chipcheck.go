@@ -8,12 +8,14 @@ import (
 )
 
 // handleChipcheck is the synchronous full-chip coupled EM + IR-drop +
-// thermal signoff path, sized for sub-second grids (the node count is
-// capped by Config.MaxChipNodes). The coupled solve and the verdict
-// pass run serially inside one pool slot — one logical solver task —
-// so chip checks count against the same global concurrency bound as
-// every other solver route and spawn no goroutines of their own. Grids past the cap belong on the bulk job lane ("chipcheck"
-// job type), which also streams per-segment verdicts without the
+// thermal signoff path, sized for sub-second grids (at most
+// maxChipNodes nodes). The coupled solve and the verdict pass run
+// serially inside one pool slot — one logical solver task — so chip
+// checks count against the same global concurrency bound as every
+// other solver route and spawn no goroutines of their own.
+//
+// Grids past the cap belong on the bulk job lane ("chipcheck" job
+// type), which also streams per-segment verdicts without the
 // synchronous response-size cap.
 func (s *Server) handleChipcheck(w http.ResponseWriter, r *http.Request) {
 	var p chipcheck.Params
@@ -28,9 +30,9 @@ func (s *Server) handleChipcheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if nodes := p.Nx * p.Ny; s.cfg.MaxChipNodes > 0 && nodes > s.cfg.MaxChipNodes {
+	if nodes := p.Nx * p.Ny; nodes > maxChipNodes {
 		writeError(w, badRequestf("%d grid nodes exceeds synchronous limit %d; submit a %q job instead",
-			nodes, s.cfg.MaxChipNodes, "chipcheck"))
+			nodes, maxChipNodes, "chipcheck"))
 		return
 	}
 	var res *chipcheck.Result

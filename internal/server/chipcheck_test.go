@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -67,15 +66,14 @@ func TestChipcheckEndpointErrors(t *testing.T) {
 	}
 }
 
-// TestChipcheckCapRedirectsToJobs: grids above MaxChipNodes must be
+// TestChipcheckCapRedirectsToJobs: grids above maxChipNodes must be
 // rejected before any numeric work, with a hint naming the bulk-lane
 // job type. The cap is checked after Compile, so malformed big grids
 // still surface their validation error, not the cap message.
 func TestChipcheckCapRedirectsToJobs(t *testing.T) {
-	s := New(Config{Workers: 2, CacheEntries: 16, MaxChipNodes: 100})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	status, body := postJSON(t, ts.URL+"/v1/chipcheck", chipBody) // 144 nodes > 100
+	s, ts := newTestServer(t)
+	big := strings.Replace(chipBody, `"nx":12,"ny":12`, `"nx":65,"ny":64`, 1) // 4160 nodes
+	status, body := postJSON(t, ts.URL+"/v1/chipcheck", big)
 	if status != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", status, body)
 	}

@@ -290,8 +290,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequestf("empty batch"))
 		return
 	}
-	if len(req.Requests) > s.cfg.MaxBatch {
-		writeError(w, badRequestf("%d batch entries exceeds limit %d", len(req.Requests), s.cfg.MaxBatch))
+	if len(req.Requests) > maxBatch {
+		writeError(w, badRequestf("%d batch entries exceeds limit %d", len(req.Requests), maxBatch))
 		return
 	}
 
@@ -366,7 +366,7 @@ type SweepRequest struct {
 	TrefC    *float64 `json:"trefC,omitempty"`
 	LengthUm *float64 `json:"lengthUm,omitempty"`
 	// Points selects the log-spaced 1e-4…1 grid size (default 13;
-	// 2 ≤ points ≤ MaxSweepPoints); DutyCycles, when non-empty,
+	// 2 ≤ points ≤ maxSweepPoints); DutyCycles, when non-empty,
 	// overrides the grid entirely.
 	Points     *int      `json:"points,omitempty"`
 	DutyCycles []float64 `json:"dutyCycles,omitempty"`
@@ -403,12 +403,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Points != nil {
 		points = *req.Points
 	}
-	if points < 2 || points > s.cfg.MaxSweepPoints {
-		writeError(w, badRequestf("points %d outside [2, %d]", points, s.cfg.MaxSweepPoints))
+	if points < 2 || points > maxSweepPoints {
+		writeError(w, badRequestf("points %d outside [2, %d]", points, maxSweepPoints))
 		return
 	}
-	if len(req.DutyCycles) > s.cfg.MaxSweepPoints {
-		writeError(w, badRequestf("%d sweep points exceeds limit %d", len(req.DutyCycles), s.cfg.MaxSweepPoints))
+	if len(req.DutyCycles) > maxSweepPoints {
+		writeError(w, badRequestf("%d sweep points exceeds limit %d", len(req.DutyCycles), maxSweepPoints))
 		return
 	}
 	// The sweep is a rules query with the duty cycle left open.
@@ -492,8 +492,8 @@ func (s *Server) handleNetcheck(w http.ResponseWriter, r *http.Request) {
 	// Cap the fan-out before materializing anything: only the body-size
 	// limit bounds the segment count otherwise, and one giant design
 	// would monopolize the pool for its whole deadline.
-	if s.cfg.MaxSegments > 0 && len(df.Segments) > s.cfg.MaxSegments {
-		writeError(w, badRequestf("%d segments exceeds limit %d", len(df.Segments), s.cfg.MaxSegments))
+	if len(df.Segments) > maxSegments {
+		writeError(w, badRequestf("%d segments exceeds limit %d", len(df.Segments), maxSegments))
 		return
 	}
 	tech, err := df.Tech()

@@ -215,7 +215,7 @@ func TestJobsQueueFullRetryAfter(t *testing.T) {
 	defer cancelHook()
 	defer close(release)
 
-	_, ts, jm := newJobsServer(t, jobs.Config{QueueDepth: 1})
+	_, ts, jm := newJobsServer(t, jobs.Config{})
 
 	// First job occupies the worker; wait for it to leave the queue.
 	status, body := postJSON(t, ts.URL+"/v1/jobs", sweepJobBody)
@@ -234,11 +234,18 @@ func TestJobsQueueFullRetryAfter(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Second fills the depth-1 bulk queue; third overflows.
-	if status, body = postJSON(t, ts.URL+"/v1/jobs", sweepJobBody); status != http.StatusAccepted {
-		t.Fatalf("submit 2: %d %s", status, body)
+	// Further submits fill the bulk queue (the job lane's fixed depth)
+	// until one overflows.
+	var resp *http.Response
+	queued := 0
+	for ; queued <= 64; queued++ {
+		if resp, body = doRequest(t, http.MethodPost, ts.URL+"/v1/jobs", sweepJobBody); resp.StatusCode != http.StatusAccepted {
+			break
+		}
 	}
-	resp, body := doRequest(t, http.MethodPost, ts.URL+"/v1/jobs", sweepJobBody)
+	if got := jm.Stats().Queued; queued == 0 || got != queued {
+		t.Fatalf("%d submits accepted before the overflow, %d queued", queued, got)
+	}
 	if resp.StatusCode != http.StatusTooManyRequests || errorCode(t, body) != "queue_full" {
 		t.Fatalf("overflow: %d %s", resp.StatusCode, body)
 	}

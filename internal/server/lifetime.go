@@ -36,9 +36,9 @@ func (s *Server) handleLifetime(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if s.cfg.MaxLifetimeSamples > 0 && model.Samples > s.cfg.MaxLifetimeSamples {
+	if model.Samples > maxLifetimeSamples {
 		writeError(w, badRequestf("%d samples exceeds synchronous limit %d; submit a %q job instead",
-			model.Samples, s.cfg.MaxLifetimeSamples, "lifetime"))
+			model.Samples, maxLifetimeSamples, "lifetime"))
 		return
 	}
 	sketches := make([]*mathx.QuantileSketch, (model.Samples+lifetime.RangeSamples-1)/lifetime.RangeSamples)

@@ -76,13 +76,11 @@ func TestLifetimeEndpointErrors(t *testing.T) {
 }
 
 // TestLifetimeCapRedirectsToJobs: sample counts above
-// MaxLifetimeSamples are rejected before any sampling, with a hint
+// maxLifetimeSamples are rejected before any sampling, with a hint
 // naming the bulk-lane job type.
 func TestLifetimeCapRedirectsToJobs(t *testing.T) {
-	s := New(Config{Workers: 2, CacheEntries: 16, MaxLifetimeSamples: 1000})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	body := `{"samples": 2000, "segments": [{"count": 10, "tempC": 110, "jMA": 0.5}]}`
+	_, ts := newTestServer(t)
+	body := `{"samples": ` + strconv.Itoa(maxLifetimeSamples+1) + `, "segments": [{"count": 10, "tempC": 110, "jMA": 0.5}]}`
 	status, resp := postJSON(t, ts.URL+"/v1/lifetime", body)
 	if status != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", status, resp)

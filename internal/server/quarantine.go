@@ -25,7 +25,7 @@ import (
 // Check's fast path is one atomic load: with no key currently
 // quarantined, nothing on the serving path takes the lock.
 type Quarantine struct {
-	threshold  int           // failures within window to quarantine; <= 0 disables
+	threshold  int           // failures within window to quarantine
 	window     time.Duration // failure-counting window
 	ttl        time.Duration // embargo length once quarantined
 	maxEntries int           // bound on tracked keys (failure records)
@@ -52,12 +52,10 @@ type quarantineEntry struct {
 	until     time.Time // zero while tracked-but-not-embargoed
 }
 
-// NewQuarantine builds a quarantine. threshold <= 0 disables it (Check
-// and Record become no-ops); maxEntries < 1 is raised to 1.
+// NewQuarantine builds a quarantine tracking at most maxEntries (at
+// least 1) failure records. A nil *Quarantine is inert: Check and
+// Record are no-ops.
 func NewQuarantine(threshold int, window, ttl time.Duration, maxEntries int) *Quarantine {
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
 	return &Quarantine{
 		threshold:  threshold,
 		window:     window,
@@ -68,13 +66,11 @@ func NewQuarantine(threshold int, window, ttl time.Duration, maxEntries int) *Qu
 	}
 }
 
-func (q *Quarantine) disabled() bool { return q == nil || q.threshold <= 0 }
-
 // Check reports whether key is currently embargoed and, if so, how long
 // until the embargo lifts (the Retry-After hint). An expired embargo is
 // released on the spot.
 func (q *Quarantine) Check(key string) (retryAfter time.Duration, quarantined bool) {
-	if q.disabled() || q.active.Load() == 0 {
+	if q == nil || q.active.Load() == 0 {
 		return 0, false
 	}
 	q.mu.Lock()
@@ -102,7 +98,7 @@ func (q *Quarantine) Check(key string) (retryAfter time.Duration, quarantined bo
 // RecordFailure counts one quarantine-eligible failure against key and
 // reports whether the key just became embargoed.
 func (q *Quarantine) RecordFailure(key string) (quarantined bool) {
-	if q.disabled() {
+	if q == nil {
 		return false
 	}
 	now := time.Now()
@@ -141,7 +137,7 @@ func (q *Quarantine) RecordFailure(key string) (quarantined bool) {
 // success can land on an embargoed key when a solve that started before
 // the embargo finishes after it; that releases the embargo early.
 func (q *Quarantine) RecordSuccess(key string) {
-	if q.disabled() || q.tracked.Load() == 0 {
+	if q == nil || q.tracked.Load() == 0 {
 		return
 	}
 	q.mu.Lock()

@@ -124,16 +124,15 @@ func TestQuarantineBounded(t *testing.T) {
 }
 
 func TestQuarantineDisabled(t *testing.T) {
-	for _, q := range []*Quarantine{nil, NewQuarantine(-1, time.Minute, time.Minute, 16)} {
-		if q.RecordFailure("k") {
-			t.Error("disabled quarantine embargoed a key")
-		}
-		if _, quarantined := q.Check("k"); quarantined {
-			t.Error("disabled quarantine rejected a key")
-		}
-		q.RecordSuccess("k")
-		if q.Active() != 0 || q.Tracked() != 0 {
-			t.Error("disabled quarantine tracked state")
-		}
+	var q *Quarantine
+	if q.RecordFailure("k") {
+		t.Error("disabled quarantine embargoed a key")
+	}
+	if _, quarantined := q.Check("k"); quarantined {
+		t.Error("disabled quarantine rejected a key")
+	}
+	q.RecordSuccess("k")
+	if q.Active() != 0 || q.Tracked() != 0 {
+		t.Error("disabled quarantine tracked state")
 	}
 }

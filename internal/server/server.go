@@ -12,15 +12,21 @@
 //
 // Routes:
 //
-//	POST /v1/rules    — self-consistent limits for one node/level/duty cycle
-//	POST /v1/sweep    — duty-cycle sweep fanned across the worker pool
-//	POST /v1/batch    — many rules queries in one round trip, deduplicated
-//	POST /v1/netcheck — batch signoff of a netcheck design JSON
-//	GET  /v1/tech     — technology inspection
-//	GET  /metrics     — counters (JSON)
-//	GET  /healthz     — liveness (pure: 200 while the process serves)
-//	GET  /readyz      — readiness (503 while draining or while the boot
-//	                    snapshot is still loading)
+//	POST   /v1/rules            — self-consistent limits for one node/level/duty cycle
+//	POST   /v1/sweep            — duty-cycle sweep fanned across the worker pool
+//	POST   /v1/batch            — many rules queries in one round trip, deduplicated
+//	POST   /v1/netcheck         — batch signoff of a netcheck design JSON
+//	POST   /v1/chipcheck        — full-chip coupled EM + IR-drop + thermal signoff
+//	POST   /v1/lifetime         — Monte Carlo EM lifetime study
+//	GET    /v1/tech             — technology inspection
+//	POST   /v1/jobs             — submit an async job (with Config.Jobs)
+//	GET    /v1/jobs/{id}        — job status and progress
+//	GET    /v1/jobs/{id}/result — a finished job's result
+//	DELETE /v1/jobs/{id}        — cancel a job
+//	GET    /metrics             — counters (JSON)
+//	GET    /healthz             — liveness (pure: 200 while the process serves)
+//	GET    /readyz              — readiness (503 while draining or while the
+//	                              boot snapshot is still loading)
 //
 // Concurrent cache misses on the same canonical key are coalesced
 // (singleflight): one request leads the solve, the rest wait for its
@@ -56,10 +62,55 @@ import (
 	"dsmtherm/internal/rules"
 )
 
-// Config sizes the daemon.
+// Fixed serving policy. These are not settings: every deployment runs
+// with them, and DESIGN.md ("Fixed serving policy") lists them in one
+// table.
+const (
+	// Request limits. Bigger chip grids and lifetime studies belong on
+	// the bulk job lane, where the work holds neither an HTTP connection
+	// nor a pool slot for seconds.
+	maxBodyBytes       = 8 << 20 // request body bytes
+	maxSweepPoints     = 4096    // fan-out of one /v1/sweep
+	maxBatch           = 256     // entries in one /v1/batch
+	maxSegments        = 10000   // segments in one /v1/netcheck design
+	maxChipNodes       = 4096    // grid nodes in one /v1/chipcheck
+	maxLifetimeSamples = 200000  // Monte Carlo samples in one /v1/lifetime
+
+	// Admission in front of the solver-bearing routes: slots per pool
+	// worker, waiting requests per slot before 429, and the longest
+	// admission wait before 503 (clamped to RequestTimeout, and per
+	// request to the route's remaining deadline in Admission.Acquire).
+	admitPerWorker = 2
+	queuePerSlot   = 4
+	queueWait      = 2 * time.Second
+
+	// Quarantine: a key failing quarantineThreshold times within
+	// quarantineWindow answers 422 for quarantineTTL; at most
+	// quarantineEntries failure records are kept, independent of the
+	// result cache so poison keys never evict healthy results.
+	quarantineThreshold = 3
+	quarantineWindow    = time.Minute
+	quarantineTTL       = 30 * time.Second
+	quarantineEntries   = 1024
+
+	// Breaker: breakerThreshold failures of one class within
+	// breakerWindow open its circuit for breakerCooldown; while open,
+	// cache hits older than breakerStaleAfter are marked stale.
+	breakerThreshold  = 5
+	breakerWindow     = 10 * time.Second
+	breakerCooldown   = 5 * time.Second
+	breakerStaleAfter = time.Minute
+
+	// snapshotInterval is the periodic cache-snapshot cadence when
+	// SnapshotPath is set; a final snapshot is written on shutdown.
+	snapshotInterval = 5 * time.Minute
+)
+
+// Config holds the daemon's deployment settings.
 type Config struct {
 	// Workers bounds concurrent solver tasks across all requests
-	// (default GOMAXPROCS).
+	// (default GOMAXPROCS). Admission allows admitPerWorker×Workers
+	// solver-bearing requests in flight.
 	Workers int
 	// CacheEntries bounds the solve/deck cache (default 4096; negative
 	// disables caching).
@@ -72,74 +123,6 @@ type Config struct {
 	EndpointTimeouts map[string]time.Duration
 	// DrainTimeout caps graceful-shutdown draining (default 15s).
 	DrainTimeout time.Duration
-	// MaxBodyBytes caps request bodies (default 8 MiB).
-	MaxBodyBytes int64
-	// MaxSweepPoints caps one sweep request's fan-out (default 4096).
-	MaxSweepPoints int
-	// MaxBatch caps the entry count of one /v1/batch request
-	// (default 256).
-	MaxBatch int
-	// MaxSegments caps the segment count of one /v1/netcheck design
-	// (default 10000; negative disables the cap) so one giant design
-	// cannot monopolize the pool.
-	MaxSegments int
-	// MaxChipNodes caps the grid node count of one synchronous
-	// /v1/chipcheck request (default 4096; negative disables the cap).
-	// Bigger grids belong on the bulk job lane ("chipcheck" job type),
-	// where the coupled solve does not hold an HTTP connection or a
-	// pool slot for seconds.
-	MaxChipNodes int
-	// MaxLifetimeSamples caps the Monte Carlo size of one synchronous
-	// /v1/lifetime request (default 200000; negative disables the
-	// cap). Bigger studies belong on the bulk job lane ("lifetime" job
-	// type), which checkpoints progress as mergeable sketch states.
-	MaxLifetimeSamples int
-
-	// AdmitConcurrent bounds how many solver-bearing requests
-	// (/v1/rules, /v1/sweep, /v1/netcheck) may be in flight at once
-	// (default 2×Workers). Cheap routes — /v1/tech, /metrics, /healthz
-	// — are never gated.
-	AdmitConcurrent int
-	// QueueDepth bounds how many further solver-bearing requests may
-	// wait for admission; beyond it requests are rejected immediately
-	// with 429 (default 4×AdmitConcurrent; negative allows no waiting).
-	QueueDepth int
-	// QueueWait caps how long a request waits for admission before a
-	// 503 (default 2s, clamped below RequestTimeout; additionally
-	// clamped per request to the route's remaining deadline budget in
-	// Admission.Acquire).
-	QueueWait time.Duration
-
-	// QuarantineThreshold is how many quarantine-eligible failures
-	// (panics, unclassified internal errors — never core.ErrNoSolution
-	// or validation outcomes) one canonical key may accumulate within
-	// QuarantineWindow before the key is embargoed (default 3; negative
-	// disables the quarantine).
-	QuarantineThreshold int
-	// QuarantineWindow is the failure-counting window (default 1m).
-	QuarantineWindow time.Duration
-	// QuarantineTTL is how long an embargoed key answers 422
-	// "quarantined" before it may try again (default 30s).
-	QuarantineTTL time.Duration
-	// QuarantineEntries bounds the failure-record store (default 1024).
-	// The bound is independent of CacheEntries: poison-key records can
-	// never evict healthy solve results.
-	QuarantineEntries int
-
-	// BreakerThreshold is how many failures of one class within
-	// BreakerWindow trip that class's circuit (default 5; negative
-	// disables the breaker).
-	BreakerThreshold int
-	// BreakerWindow is the breaker's failure-counting window
-	// (default 10s).
-	BreakerWindow time.Duration
-	// BreakerCooldown is how long a tripped class stays open before
-	// half-open probing (default 5s).
-	BreakerCooldown time.Duration
-	// BreakerStaleAfter is the freshness horizon for degraded serving:
-	// while the breaker is open, cache hits older than this are still
-	// served but marked "stale":true (default 1m).
-	BreakerStaleAfter time.Duration
 
 	// Jobs, when non-nil, enables the durable async job subsystem on
 	// POST/GET/DELETE /v1/jobs. The server adapts it to HTTP; the
@@ -149,13 +132,10 @@ type Config struct {
 
 	// SnapshotPath, when set, enables crash-safe warm restarts: the
 	// solve cache's working set is written there (atomic temp+rename,
-	// versioned header, checksum) periodically and on shutdown, and
-	// loaded on boot — a corrupt or truncated file starts the daemon
-	// cold, never kills it.
+	// versioned header, checksum) every snapshotInterval and on
+	// shutdown, and loaded on boot — a corrupt or truncated file starts
+	// the daemon cold, never kills it.
 	SnapshotPath string
-	// SnapshotInterval is the periodic snapshot cadence (default 5m;
-	// negative disables periodic saves, keeping only the shutdown one).
-	SnapshotInterval time.Duration
 }
 
 func (c *Config) defaults() {
@@ -170,63 +150,6 @@ func (c *Config) defaults() {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 15 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxSweepPoints <= 0 {
-		c.MaxSweepPoints = 4096
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.MaxSegments == 0 {
-		c.MaxSegments = 10000
-	}
-	if c.MaxChipNodes == 0 {
-		c.MaxChipNodes = 4096
-	}
-	if c.MaxLifetimeSamples == 0 {
-		c.MaxLifetimeSamples = 200000
-	}
-	if c.AdmitConcurrent <= 0 {
-		c.AdmitConcurrent = 2 * c.Workers
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 4 * c.AdmitConcurrent
-	}
-	if c.QueueWait <= 0 {
-		c.QueueWait = 2 * time.Second
-	}
-	if c.QueueWait > c.RequestTimeout {
-		c.QueueWait = c.RequestTimeout
-	}
-	if c.QuarantineThreshold == 0 {
-		c.QuarantineThreshold = 3
-	}
-	if c.QuarantineWindow <= 0 {
-		c.QuarantineWindow = time.Minute
-	}
-	if c.QuarantineTTL <= 0 {
-		c.QuarantineTTL = 30 * time.Second
-	}
-	if c.QuarantineEntries <= 0 {
-		c.QuarantineEntries = 1024
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 10 * time.Second
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.BreakerStaleAfter <= 0 {
-		c.BreakerStaleAfter = time.Minute
-	}
-	if c.SnapshotInterval == 0 {
-		c.SnapshotInterval = 5 * time.Minute
 	}
 }
 
@@ -281,9 +204,9 @@ func New(cfg Config) *Server {
 		pool:       NewPool(cfg.Workers),
 		cache:      NewCache(cfg.CacheEntries),
 		metrics:    NewMetrics(),
-		admission:  NewAdmission(cfg.AdmitConcurrent, cfg.QueueDepth, cfg.QueueWait),
-		quarantine: NewQuarantine(cfg.QuarantineThreshold, cfg.QuarantineWindow, cfg.QuarantineTTL, cfg.QuarantineEntries),
-		breaker:    NewBreaker(cfg.BreakerThreshold, cfg.BreakerWindow, cfg.BreakerCooldown),
+		admission:  NewAdmission(admitPerWorker*cfg.Workers, queuePerSlot*admitPerWorker*cfg.Workers, min(queueWait, cfg.RequestTimeout)),
+		quarantine: NewQuarantine(quarantineThreshold, quarantineWindow, quarantineTTL, quarantineEntries),
+		breaker:    NewBreaker(breakerThreshold, breakerWindow, breakerCooldown, breakerStaleAfter),
 		jobs:       cfg.Jobs,
 	}
 	// The pool task and flight leader recovery boundaries share one
@@ -369,7 +292,7 @@ func (s *Server) route(pattern string, h http.HandlerFunc, admit bool) {
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 		r = r.WithContext(ctx)
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		if admit {
 			release, err := s.admission.Acquire(ctx)
 			if err != nil {
@@ -432,7 +355,7 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	if s.cfg.SnapshotPath != "" && s.cfg.SnapshotInterval > 0 {
+	if s.cfg.SnapshotPath != "" {
 		go s.snapshotLoop(ctx)
 	}
 	select {
@@ -460,7 +383,7 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 
 // snapshotLoop writes periodic snapshots until ctx ends.
 func (s *Server) snapshotLoop(ctx context.Context) {
-	t := time.NewTicker(s.cfg.SnapshotInterval)
+	t := time.NewTicker(snapshotInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -612,11 +535,9 @@ func (s *Server) recordMiss(key string, err error, coalesced, probe bool) {
 }
 
 // markStale reports whether a cache hit stored at `at` should carry
-// "stale":true — only while the breaker is degraded and the entry has
-// aged past the freshness horizon. While healthy, age is irrelevant:
-// solves are deterministic, a hit is a hit.
+// "stale":true (Breaker.Stale), counting the ones that do.
 func (s *Server) markStale(at time.Time) bool {
-	if !s.breaker.Degraded() || time.Since(at) <= s.cfg.BreakerStaleAfter {
+	if !s.breaker.Stale(at) {
 		return false
 	}
 	s.metrics.StaleServed.Add(1)

@@ -499,10 +499,8 @@ func TestShutdownRejectsNewWorkWhileDraining(t *testing.T) {
 
 // TestRequestBodyLimit verifies oversized bodies are rejected, not read.
 func TestRequestBodyLimit(t *testing.T) {
-	s := New(Config{MaxBodyBytes: 512})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	big := fmt.Sprintf(`{"node":"0.25","level":5,"gap":%q}`, strings.Repeat("x", 2048))
+	_, ts := newTestServer(t)
+	big := fmt.Sprintf(`{"node":"0.25","level":5,"gap":%q}`, strings.Repeat("x", maxBodyBytes))
 	status, _ := postJSON(t, ts.URL+"/v1/rules", big)
 	if status != http.StatusBadRequest {
 		t.Fatalf("oversized body: status %d, want 400", status)
@@ -664,11 +662,8 @@ func TestBatchEndpoint(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Errorf("empty batch: status %d want 400", status)
 	}
-	s2 := New(Config{Workers: 2, MaxBatch: 2})
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	status, body = postJSON(t, ts2.URL+"/v1/batch",
-		`{"requests":[{"level":1},{"level":2},{"level":3}]}`)
+	status, body = postJSON(t, ts.URL+"/v1/batch",
+		`{"requests":[`+strings.Repeat(`{"level":1},`, maxBatch)+`{"level":2}]}`)
 	if status != http.StatusBadRequest {
 		t.Errorf("oversized batch: status %d want 400: %s", status, body)
 	}
@@ -701,19 +696,18 @@ func TestBatchSharesCacheWithRules(t *testing.T) {
 
 // TestNetcheckSegmentLimit verifies the netcheck fan-out cap.
 func TestNetcheckSegmentLimit(t *testing.T) {
-	s := New(Config{MaxSegments: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	design := `{
-		"node": "0.25",
-		"segments": [
-			{"net":"a","name":"s1","level":5,"widthMultiple":1,"lengthUm":3000,
-			 "waveform":{"kind":"bipolar","peakMA":1.0,"dutyCycle":0.12}},
-			{"net":"b","name":"s2","level":5,"widthMultiple":1,"lengthUm":3000,
-			 "waveform":{"kind":"bipolar","peakMA":1.0,"dutyCycle":0.12}}
-		]
-	}`
-	status, body := postJSON(t, ts.URL+"/v1/netcheck", design)
+	_, ts := newTestServer(t)
+	var design bytes.Buffer
+	design.WriteString(`{"node":"0.25","segments":[`)
+	for i := 0; i <= maxSegments; i++ {
+		if i > 0 {
+			design.WriteByte(',')
+		}
+		fmt.Fprintf(&design, `{"net":"n%d","name":"s","level":5,"widthMultiple":1,"lengthUm":3000,`+
+			`"waveform":{"kind":"bipolar","peakMA":1.0,"dutyCycle":0.12}}`, i)
+	}
+	design.WriteString(`]}`)
+	status, body := postJSON(t, ts.URL+"/v1/netcheck", design.String())
 	if status != http.StatusBadRequest {
 		t.Fatalf("status %d want 400: %s", status, body)
 	}
@@ -728,16 +722,14 @@ func TestNetcheckSegmentLimit(t *testing.T) {
 
 // TestSweepPointLimit verifies the fan-out bound.
 func TestSweepPointLimit(t *testing.T) {
-	s := New(Config{MaxSweepPoints: 4})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, ts := newTestServer(t)
 	var buf bytes.Buffer
 	buf.WriteString(`{"level":5,"dutyCycles":[`)
-	for i := 0; i < 8; i++ {
+	for i := 0; i <= maxSweepPoints; i++ {
 		if i > 0 {
 			buf.WriteByte(',')
 		}
-		fmt.Fprintf(&buf, "%g", 0.1+float64(i)*0.1)
+		fmt.Fprintf(&buf, "%g", 0.1+float64(i%8)*0.1)
 	}
 	buf.WriteString(`]}`)
 	status, body := postJSON(t, ts.URL+"/v1/sweep", buf.String())
